@@ -452,17 +452,21 @@ func Characterize(prev, cur [][]float64, abnormal []int, opts ...Option) (*Outco
 	if err != nil {
 		return nil, err
 	}
-	return characterizePair(pair, abnormal, cfg)
-}
-
-// characterizePair runs the core procedure over a validated state pair.
-func characterizePair(pair *motion.Pair, abnormal []int, cfg config) (*Outcome, error) {
 	if cfg.distributed {
 		return characterizeDistributed(pair, abnormal, cfg)
 	}
-	char, err := core.New(pair, abnormal, core.Config{
-		R: cfg.radius, Tau: cfg.tau, Exact: cfg.exact, Budget: cfg.budget,
-	})
+	return characterizePair(pair, abnormal, cfg)
+}
+
+// coreConfig is the characterization procedure's view of the options.
+func (c config) coreConfig() core.Config {
+	return core.Config{R: c.radius, Tau: c.tau, Exact: c.exact, Budget: c.budget}
+}
+
+// characterizePair runs the centralized core procedure over a validated
+// state pair, whatever the deployment model cfg names.
+func characterizePair(pair *motion.Pair, abnormal []int, cfg config) (*Outcome, error) {
+	char, err := core.New(pair, abnormal, cfg.coreConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -513,7 +517,7 @@ func characterizeDistributed(pair *motion.Pair, abnormal []int, cfg config) (*Ou
 // reports, not as an internal grid-parameter complaint from the
 // directory build.
 func validateDistConfig(pair *motion.Pair, cfg config) (core.Config, error) {
-	coreCfg := core.Config{R: cfg.radius, Tau: cfg.tau, Exact: cfg.exact, Budget: cfg.budget}
+	coreCfg := cfg.coreConfig()
 	if _, err := core.New(pair, nil, coreCfg); err != nil {
 		return core.Config{}, err
 	}
@@ -561,9 +565,7 @@ func CharacterizeDevice(prev, cur [][]float64, abnormal []int, device int, opts 
 	if err != nil {
 		return Report{}, err
 	}
-	char, err := core.New(pair, abnormal, core.Config{
-		R: cfg.radius, Tau: cfg.tau, Exact: cfg.exact, Budget: cfg.budget,
-	})
+	char, err := core.New(pair, abnormal, cfg.coreConfig())
 	if err != nil {
 		return Report{}, err
 	}

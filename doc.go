@@ -115,18 +115,22 @@
 //
 // The paper's detection layer (Section III-A) is a per-device local
 // test: device j's error-detection function looks only at j's own QoS
-// samples. Monitor.Observe exploits that independence — snapshot
-// validation and the detector walk are sharded across WithIngestWorkers
-// goroutines (default GOMAXPROCS) over contiguous device ranges, with
-// per-shard abnormal-id buffers concatenated in shard order, so the
-// abnormal set handed to characterization is byte-identical to a serial
-// walk whatever the worker count (pinned by a parity suite run under
-// the race detector). The walk is two-phase: every row is validated —
-// width, and non-finite values rejected by name, since v < 0 || v > 1
-// is false for NaN — before the first detector consumes a sample, so a
-// rejected snapshot leaves the monitor exactly as it was, while an
-// error after acceptance (e.g. an exact-search budget) reports a
-// consumed observation whose clock and buffers advanced coherently.
+// samples. The Monitor exploits that independence — row grading and
+// the detector walk are sharded across WithIngestWorkers goroutines
+// (default GOMAXPROCS) over contiguous device ranges, with per-shard
+// abnormal-id buffers concatenated in shard order, so the abnormal set
+// handed to characterization is byte-identical to a serial walk
+// whatever the worker count (pinned by a parity suite run under the
+// race detector). Observe and ObservePartial are two ingest policies
+// over one tick: both first grade every row — present, full width,
+// finite, since v < 0 || v > 1 is false for NaN — without touching a
+// detector. Observe rejects a snapshot with any unclean row, naming
+// the lowest offending device, so a rejected snapshot leaves the
+// monitor exactly as it was; ObservePartial routes unclean rows
+// through its health machine instead. The settled rows then take the
+// same walk, commit and characterization, where an error after
+// acceptance (e.g. an exact-search budget) reports a consumed
+// observation whose clock and buffers advanced coherently.
 //
 // Feeding snapshots in, cmd/anomalia-gateway reads either CSV (one row
 // per discrete time, parsed into reused buffers) or the binary stream
@@ -137,7 +141,7 @@
 // -convert bridges existing CSV archives to it. cmd/anomalia-sim
 // -emit generates either format from the Section VII-A workload, so
 // the two binaries compose into an end-to-end pipeline. At n = 1M the
-// full streaming tick (decode, validate, copy, walk a million
+// full streaming tick (decode, grade, copy, walk a million
 // detectors, characterize the window's mass event) stays within ~2x
 // of the bare characterization of the same window, and a quiet tick
 // runs allocation-free (BENCH_6.json; both gated in CI).
@@ -340,7 +344,7 @@
 //
 //   - anomalia_ticks_total — snapshots observed (counter)
 //   - anomalia_tick_seconds — latency histogram by phase label:
-//     ingest (classify + health dispatch, ObservePartial only),
+//     ingest (row grading, plus the health dispatch on ObservePartial),
 //     detect (the sharded detector walk), characterize (abnormal
 //     windows only), total
 //   - anomalia_abnormal_windows_total — windows with a non-empty

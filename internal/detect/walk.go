@@ -8,20 +8,21 @@ import (
 	"sync"
 )
 
-// ErrSample is returned when a snapshot row cannot be consumed as-is: a
-// width mismatch, or a non-finite QoS value that would poison detector
-// state (NaN slips through interval tests — v < 0 || v > 1 is false for
-// NaN — so finiteness is tested by name). Walk reports it before any
-// detector has been updated.
+// ErrSample is returned when a snapshot cannot be consumed as-is: a row
+// count that does not match the fleet, or — reported by callers that
+// reject instead of degrading — a row with the wrong width or a
+// non-finite QoS value that would poison detector state (NaN slips
+// through interval tests — v < 0 || v > 1 is false for NaN — so
+// finiteness is tested by name; see Classify).
 var ErrSample = errors.New("detect: invalid sample")
 
 // minShard is the smallest per-worker device range worth a goroutine:
 // below it the spawn/join overhead exceeds the detector work itself, so
-// Walk degrades to the serial walk.
+// a pass degrades to a serial one.
 const minShard = 2048
 
-// Walker shards the per-device detection walk of one snapshot across a
-// fixed pool size. The error-detection functions a_k(j) are independent
+// Walker shards the per-device passes over one snapshot across a fixed
+// pool size. The error-detection functions a_k(j) are independent
 // local tests (Section III-A), which makes the walk embarrassingly
 // parallel per device: Walker slices the fleet into contiguous id
 // ranges, one per worker, and concatenates the per-worker abnormal-id
@@ -35,6 +36,16 @@ type Walker struct {
 	flags   [][]int
 	errs    []error
 	counts  []int
+	// wg joins one pass's shard goroutines; a field rather than a local
+	// so the join itself allocates nothing per pass.
+	wg sync.WaitGroup
+	// The pending pass's inputs, set for the duration of one Classify
+	// or WalkSkip call so the shard workers need no per-call closure.
+	classify bool
+	devs     []*Device
+	rows     [][]float64
+	clean    []bool
+	visit    func(dev int, row []float64)
 }
 
 // NewWalker returns a walker with the given pool size; workers <= 0
@@ -54,110 +65,55 @@ func NewWalker(workers int) *Walker {
 // Workers returns the configured pool size.
 func (w *Walker) Workers() int { return w.workers }
 
-// Walk feeds row j of samples to device j — exactly one Update per
-// device — and appends the ids whose abnormal flag a_k(j) fired to out
-// in ascending order, reusing out's storage. Every row is validated
-// (width and finiteness) before the first detector update, so a non-nil
-// error means no detector state changed.
-//
-// visit, when non-nil, runs once per device inside the same sharded
-// pass, before that device's Update. Shards are disjoint contiguous id
-// ranges, so visit may write to per-device slots of a shared structure
-// without synchronization, but must not touch state shared across
-// devices.
-func (w *Walker) Walk(devs []*Device, samples [][]float64, visit func(dev int, row []float64), out []int) ([]int, error) {
-	out = out[:0]
-	n := len(devs)
-	if len(samples) != n {
-		return out, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), n, ErrSample)
-	}
-	workers := w.workers
-	if maxUseful := (n + minShard - 1) / minShard; workers > maxUseful {
-		workers = maxUseful
-	}
-	if workers <= 1 {
-		if err := validateRange(devs, samples, 0, n); err != nil {
-			return out, err
+// fanOut runs the pending pass over n devices — serially when the pool
+// is one worker or the fleet fills at most one minShard range, else as
+// one goroutine per contiguous id range — and returns the number of
+// ranges; range i's
+// results land in w.counts[i] or w.flags[i]/w.errs[i]. The inputs are
+// dropped afterwards so the walker never pins a snapshot.
+func (w *Walker) fanOut(n int) int {
+	workers := max(1, min(w.workers, (n+minShard-1)/minShard))
+	if workers == 1 {
+		w.shard(0, 0, n)
+	} else {
+		w.wg.Add(workers)
+		for i := 0; i < workers; i++ {
+			go func(i int) {
+				defer w.wg.Done()
+				w.shard(i, i*n/workers, (i+1)*n/workers)
+			}(i)
 		}
-		return walkRange(devs, samples, visit, 0, n, out)
+		w.wg.Wait()
 	}
+	w.classify, w.devs, w.rows, w.clean, w.visit = false, nil, nil, nil, nil
+	return workers
+}
 
-	// Phase 1: validate every shard before mutating anything, so a
-	// malformed row in one shard cannot leave another shard's detectors
-	// half-updated. Shards are contiguous ascending, so the first
-	// worker with an error holds the lowest offending device — the same
-	// error a serial walk would report.
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			w.errs[i] = validateRange(devs, samples, lo, hi)
-		}(i, lo, hi)
+// shard runs the pending pass over devices [lo, hi) as range i.
+func (w *Walker) shard(i, lo, hi int) {
+	if w.classify {
+		w.counts[i] = classifyRange(w.devs, w.rows, w.clean, lo, hi)
+		return
 	}
-	wg.Wait()
-	for _, err := range w.errs[:workers] {
-		if err != nil {
-			return out, err
-		}
+	buf := w.flags[i]
+	if buf == nil {
+		buf = make([]int, 0, (hi-lo)/8+16)
 	}
-
-	// Phase 2: the walk proper, each worker flagging into its own
-	// reused buffer.
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			buf := w.flags[i]
-			if buf == nil {
-				buf = make([]int, 0, (hi-lo)/8+16)
-			}
-			w.flags[i], w.errs[i] = walkRange(devs, samples, visit, lo, hi, buf[:0])
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for i := 0; i < workers; i++ {
-		out = append(out, w.flags[i]...)
-	}
-	for _, err := range w.errs[:workers] {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	w.flags[i], w.errs[i] = walkSkipRange(w.devs, w.rows, w.visit, lo, hi, buf[:0])
 }
 
 // Classify grades every row of a possibly-degraded snapshot without
-// touching any detector, sharded like Walk: clean[dev] is set to
+// touching any detector, sharded like WalkSkip: clean[dev] is set to
 // whether row dev is present (non-nil), matches device dev's width,
-// and is finite in every coordinate. The degraded ingest path treats
-// malformed and missing reports identically — neither carries a usable
-// measurement — so classification folds both into one bit instead of
-// reporting an error. Returns the number of clean rows. len(samples)
-// and len(clean) must equal len(devs).
+// and is finite in every coordinate. Malformed and missing reports
+// fold into one bit — neither carries a usable measurement — so
+// classification never errors; a caller that rejects instead of
+// degrading looks up the offending row itself. Returns the number of
+// clean rows. len(samples) and len(clean) must equal len(devs).
 func (w *Walker) Classify(devs []*Device, samples [][]float64, clean []bool) int {
-	n := len(devs)
-	workers := w.workers
-	if maxUseful := (n + minShard - 1) / minShard; workers > maxUseful {
-		workers = maxUseful
-	}
-	if workers <= 1 {
-		return classifyRange(devs, samples, clean, 0, n)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			w.counts[i] = classifyRange(devs, samples, clean, lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
+	w.classify, w.devs, w.rows, w.clean = true, devs, samples, clean
 	total := 0
-	for _, c := range w.counts[:workers] {
+	for _, c := range w.counts[:w.fanOut(len(devs))] {
 		total += c
 	}
 	return total
@@ -184,46 +140,33 @@ func classifyRange(devs []*Device, samples [][]float64, clean []bool, lo, hi int
 	return n
 }
 
-// WalkSkip runs the detector walk of one pre-classified partial
-// snapshot: row j of rows is fed to device j unless it is nil, in
-// which case device j's detectors are left untouched for this tick
-// and the device cannot be flagged. visit runs for every device — nil
-// rows included, before any Update — so the caller can park an
-// excluded device's slot of the shared state. The abnormal set merges
-// in the same shard order as Walk, byte-identical to a serial pass.
+// WalkSkip runs the detector walk of one pre-classified snapshot: row
+// j of rows is fed to device j — exactly one Update — unless it is
+// nil, in which case device j's detectors are left untouched for this
+// tick and the device cannot be flagged. The ids whose abnormal flag
+// a_k(j) fired are appended to out in ascending order, reusing out's
+// storage; the shards merge in id order, byte-identical to a serial
+// pass.
 //
-// Rows must already be validated (Classify): unlike Walk there is no
-// validation phase, so a detector error surfaces with the offending
-// shard partially consumed.
+// visit, when non-nil, runs for every device — nil rows included —
+// inside the same sharded pass, before that device's Update, so the
+// caller can copy or park the device's slot of a shared state. Shards
+// are disjoint contiguous id ranges, so visit may write to per-device
+// slots of a shared structure without synchronization, but must not
+// touch state shared across devices.
+//
+// Rows must already be graded clean (Classify): there is no validation
+// phase, so a detector error surfaces with the offending shard
+// partially consumed.
 func (w *Walker) WalkSkip(devs []*Device, rows [][]float64, visit func(dev int, row []float64), out []int) ([]int, error) {
 	out = out[:0]
-	n := len(devs)
-	if len(rows) != n {
-		return out, fmt.Errorf("snapshot has %d rows, want %d: %w", len(rows), n, ErrSample)
+	if len(rows) != len(devs) {
+		return out, fmt.Errorf("snapshot has %d rows, want %d: %w", len(rows), len(devs), ErrSample)
 	}
-	workers := w.workers
-	if maxUseful := (n + minShard - 1) / minShard; workers > maxUseful {
-		workers = maxUseful
-	}
-	if workers <= 1 {
-		return walkSkipRange(devs, rows, visit, 0, n, out)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			buf := w.flags[i]
-			if buf == nil {
-				buf = make([]int, 0, (hi-lo)/8+16)
-			}
-			w.flags[i], w.errs[i] = walkSkipRange(devs, rows, visit, lo, hi, buf[:0])
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for i := 0; i < workers; i++ {
-		out = append(out, w.flags[i]...)
+	w.devs, w.rows, w.visit = devs, rows, visit
+	workers := w.fanOut(len(devs))
+	for _, flagged := range w.flags[:workers] {
+		out = append(out, flagged...)
 	}
 	for _, err := range w.errs[:workers] {
 		if err != nil {
@@ -233,7 +176,7 @@ func (w *Walker) WalkSkip(devs []*Device, rows [][]float64, visit func(dev int, 
 	return out, nil
 }
 
-// walkSkipRange is walkRange with nil rows excluded from the update.
+// walkSkipRange walks devices [lo, hi), appending flagged ids.
 func walkSkipRange(devs []*Device, rows [][]float64, visit func(dev int, row []float64), lo, hi int, flagged []int) ([]int, error) {
 	for dev := lo; dev < hi; dev++ {
 		row := rows[dev]
@@ -242,43 +185,6 @@ func walkSkipRange(devs []*Device, rows [][]float64, visit func(dev int, row []f
 		}
 		if row == nil {
 			continue
-		}
-		abnormal, err := devs[dev].Update(row)
-		if err != nil {
-			return flagged, fmt.Errorf("device %d: %w", dev, err)
-		}
-		if abnormal {
-			flagged = append(flagged, dev)
-		}
-	}
-	return flagged, nil
-}
-
-// validateRange rejects malformed rows in [lo, hi) without touching any
-// detector.
-func validateRange(devs []*Device, samples [][]float64, lo, hi int) error {
-	for dev := lo; dev < hi; dev++ {
-		row := samples[dev]
-		if len(row) != len(devs[dev].detectors) {
-			return fmt.Errorf("device %d has %d coords, want %d: %w",
-				dev, len(row), len(devs[dev].detectors), ErrSample)
-		}
-		for svc, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("device %d service %d: non-finite QoS %v: %w",
-					dev, svc, v, ErrSample)
-			}
-		}
-	}
-	return nil
-}
-
-// walkRange runs the serial walk over [lo, hi), appending flagged ids.
-func walkRange(devs []*Device, samples [][]float64, visit func(dev int, row []float64), lo, hi int, flagged []int) ([]int, error) {
-	for dev := lo; dev < hi; dev++ {
-		row := samples[dev]
-		if visit != nil {
-			visit(dev, row)
 		}
 		abnormal, err := devs[dev].Update(row)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,10 +66,12 @@ func walkStream(n, d, ticks int, seed int64) [][][]float64 {
 }
 
 // TestWalkParity: for every detector family and several seeds, the
-// sharded walk must produce — tick for tick — the identical abnormal
-// set, identical per-service predictions, and identical visit coverage
-// as the serial walk, whatever the worker count. minShard is bypassed by
-// sizing the fleet above one shard per worker.
+// sharded walk of a fully clean snapshot — graded by Classify, then
+// walked by WalkSkip, the strict ingest policy's composition — must
+// produce, tick for tick, the identical abnormal set, identical
+// per-service predictions, and identical visit coverage as the serial
+// walk, whatever the worker count. minShard is bypassed by sizing the
+// fleet above one shard per worker.
 func TestWalkParity(t *testing.T) {
 	t.Parallel()
 
@@ -87,15 +90,19 @@ func TestWalkParity(t *testing.T) {
 					serial := NewWalker(1)
 					sharded := NewWalker(workers)
 					stream := walkStream(n, d, ticks, seed)
+					clean := make([]bool, n)
 					var sOut, pOut []int
 					for k, snap := range stream {
+						if got := sharded.Classify(shardDevs, snap, clean); got != n {
+							t.Fatalf("tick %d: Classify graded %d of %d clean rows clean", k, got, n)
+						}
 						var err error
-						sOut, err = serial.Walk(serialDevs, snap, nil, sOut)
+						sOut, err = serial.WalkSkip(serialDevs, snap, nil, sOut)
 						if err != nil {
 							t.Fatal(err)
 						}
 						visited := make([]int32, n)
-						pOut, err = sharded.Walk(shardDevs, snap, func(dev int, row []float64) {
+						pOut, err = sharded.WalkSkip(shardDevs, snap, func(dev int, row []float64) {
 							visited[dev]++
 						}, pOut)
 						if err != nil {
@@ -162,35 +169,40 @@ func countedFleet(t *testing.T, n, d int) ([]*Device, func() int) {
 	return devs, total
 }
 
-// TestWalkRejectsBeforeMutating: a malformed row anywhere in the
-// snapshot — NaN, ±Inf, or a width mismatch — must be reported without
-// a single detector having consumed a sample, on both the serial and the
-// sharded path.
+// TestWalkRejectsBeforeMutating: a NaN, ±Inf or width fault anywhere in
+// the fleet is graded unclean by Classify — the phase a rejecting caller
+// runs before the walk — with not one sample consumed, serially or
+// sharded; a clean snapshot afterwards walks normally.
 func TestWalkRejectsBeforeMutating(t *testing.T) {
 	t.Parallel()
 
 	const n = 3 * minShard
 	const d = 2
-	bad := map[string]func(snap [][]float64){
-		"nan":   func(s [][]float64) { s[n-5][1] = math.NaN() },
-		"+inf":  func(s [][]float64) { s[7][0] = math.Inf(1) },
-		"-inf":  func(s [][]float64) { s[n/2][0] = math.Inf(-1) },
-		"width": func(s [][]float64) { s[n/2] = []float64{0.5} },
+	bad := map[string]struct {
+		dev     int
+		corrupt func(snap [][]float64)
+	}{
+		"nan":   {n - 5, func(s [][]float64) { s[n-5][1] = math.NaN() }},
+		"+inf":  {7, func(s [][]float64) { s[7][0] = math.Inf(1) }},
+		"-inf":  {n / 2, func(s [][]float64) { s[n/2][0] = math.Inf(-1) }},
+		"width": {n / 2, func(s [][]float64) { s[n/2] = []float64{0.5} }},
 	}
-	for name, corrupt := range bad {
+	for name, tc := range bad {
 		for _, workers := range []int{1, 4} {
 			devs, consumed := countedFleet(t, n, d)
 			w := NewWalker(workers)
 			snap := walkStream(n, d, 1, 3)[0]
-			corrupt(snap)
-			if _, err := w.Walk(devs, snap, nil, nil); !errors.Is(err, ErrSample) {
-				t.Fatalf("%s workers=%d: error = %v, want ErrSample", name, workers, err)
+			tc.corrupt(snap)
+			clean := make([]bool, n)
+			if got := w.Classify(devs, snap, clean); got != n-1 || clean[tc.dev] {
+				t.Fatalf("%s workers=%d: Classify = %d clean, device %d clean=%v; want %d, false",
+					name, workers, got, tc.dev, clean[tc.dev], n-1)
 			}
 			if got := consumed(); got != 0 {
-				t.Errorf("%s workers=%d: %d samples consumed despite rejection", name, workers, got)
+				t.Errorf("%s workers=%d: %d samples consumed by grading", name, workers, got)
 			}
 			// A clean snapshot afterwards proceeds normally.
-			if _, err := w.Walk(devs, walkStream(n, d, 1, 4)[0], nil, nil); err != nil {
+			if _, err := w.WalkSkip(devs, walkStream(n, d, 1, 4)[0], nil, nil); err != nil {
 				t.Fatalf("%s workers=%d: clean walk after rejection: %v", name, workers, err)
 			}
 			if got := consumed(); got != n*d {
@@ -200,25 +212,35 @@ func TestWalkRejectsBeforeMutating(t *testing.T) {
 	}
 }
 
-// TestWalkRowCountMismatch: a snapshot with the wrong device count is
-// rejected outright.
+// TestWalkRowCountMismatch: a snapshot with too few or too many rows is
+// rejected outright by the serial and the sharded walk alike, with no
+// device flagged and no sample consumed.
 func TestWalkRowCountMismatch(t *testing.T) {
 	t.Parallel()
 
-	devs, consumed := countedFleet(t, 8, 1)
-	w := NewWalker(4)
-	snap := walkStream(7, 1, 1, 5)[0]
-	if _, err := w.Walk(devs, snap, nil, nil); !errors.Is(err, ErrSample) {
-		t.Fatalf("error = %v, want ErrSample", err)
-	}
-	if consumed() != 0 {
-		t.Error("short snapshot consumed samples")
+	for _, rows := range []int{7, 9} {
+		for _, workers := range []int{1, 4} {
+			devs, consumed := countedFleet(t, 8, 1)
+			snap := walkStream(rows, 1, 1, 5)[0]
+			out, err := NewWalker(workers).WalkSkip(devs, snap, nil, nil)
+			if !errors.Is(err, ErrSample) {
+				t.Fatalf("rows=%d workers=%d: error = %v, want ErrSample", rows, workers, err)
+			}
+			if len(out) != 0 {
+				t.Errorf("rows=%d workers=%d: flagged %v", rows, workers, out)
+			}
+			if consumed() != 0 {
+				t.Errorf("rows=%d workers=%d: mis-sized snapshot consumed samples", rows, workers)
+			}
+		}
 	}
 }
 
 // TestWalkReportsLowestOffender: with malformed rows in several shards,
-// the reported error names the lowest device id — exactly what the
-// serial walk reports — so error surfaces are worker-count independent.
+// the first unclean entry of the graded mask — the row a rejecting
+// caller names — is the lowest offending device id, for the serial and
+// the sharded grading alike, so error surfaces are worker-count
+// independent.
 func TestWalkReportsLowestOffender(t *testing.T) {
 	t.Parallel()
 
@@ -228,14 +250,14 @@ func TestWalkReportsLowestOffender(t *testing.T) {
 	lowest := minShard + 11 // second shard of four
 	snap[lowest][0] = math.NaN()
 	snap[3*minShard+5][0] = math.Inf(1) // fourth shard
-	w := NewWalker(4)
-	_, err := w.Walk(devs, snap, nil, nil)
-	if err == nil {
-		t.Fatal("corrupt snapshot accepted")
-	}
-	want := fmt.Sprintf("device %d ", lowest)
-	if got := err.Error(); !containsSub(got, want) {
-		t.Errorf("error %q does not name lowest offender %d", got, lowest)
+	for _, workers := range []int{1, 4} {
+		clean := make([]bool, n)
+		if got := NewWalker(workers).Classify(devs, snap, clean); got != n-2 {
+			t.Fatalf("workers=%d: Classify = %d clean, want %d", workers, got, n-2)
+		}
+		if got := slices.Index(clean, false); got != lowest {
+			t.Errorf("workers=%d: first unclean row %d, want lowest offender %d", workers, got, lowest)
+		}
 	}
 }
 
@@ -251,13 +273,13 @@ func TestWalkSmallFleetSerialFallback(t *testing.T) {
 	for j := range snap {
 		snap[j] = []float64{0.9}
 	}
-	if _, err := w.Walk(devs, snap, nil, nil); err != nil {
+	if _, err := w.WalkSkip(devs, snap, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < 16; j += 2 {
 		snap[j] = []float64{0.2}
 	}
-	out, err := w.Walk(devs, snap, nil, nil)
+	out, err := w.WalkSkip(devs, snap, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,13 +299,4 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func containsSub(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -54,12 +55,14 @@ func degradeStream(stream [][][]float64, seed int64) ([][][]float64, [][]bool) {
 
 // TestClassifyMatchesTruth: Classify must grade exactly the rows that
 // are present, full-width and finite — identically for the serial and
-// sharded paths.
+// sharded paths — without a single detector consuming a sample, so a
+// caller that rejects on a NaN, ±Inf or width fault rejects before
+// mutating anything.
 func TestClassifyMatchesTruth(t *testing.T) {
 	t.Parallel()
 
 	const n, d = 8192, 2
-	devs := walkFleet(t, n, d, "threshold")
+	devs, consumed := countedFleet(t, n, d)
 	stream, truth := degradeStream(walkStream(n, d, 4, 11), 12)
 
 	for _, workers := range []int{1, 3, 8} {
@@ -80,6 +83,9 @@ func TestClassifyMatchesTruth(t *testing.T) {
 				t.Fatalf("workers=%d tick %d: clean mask diverges from truth", workers, k)
 			}
 		}
+	}
+	if got := consumed(); got != 0 {
+		t.Errorf("grading consumed %d samples", got)
 	}
 }
 
@@ -198,12 +204,17 @@ func TestWalkSkipAllNil(t *testing.T) {
 	}
 }
 
-// TestWalkSkipRowCountMismatch mirrors Walk's geometry check.
+// TestWalkSkipRowCountMismatch: a snapshot with the wrong device count
+// is rejected outright, before any detector consumes a sample.
 func TestWalkSkipRowCountMismatch(t *testing.T) {
 	t.Parallel()
 
-	devs := walkFleet(t, 4, 1, "threshold")
-	if _, err := NewWalker(2).WalkSkip(devs, make([][]float64, 3), nil, nil); err == nil {
-		t.Fatal("want error for wrong row count")
+	devs, consumed := countedFleet(t, 8, 1)
+	snap := walkStream(7, 1, 1, 5)[0]
+	if _, err := NewWalker(4).WalkSkip(devs, snap, nil, nil); !errors.Is(err, ErrSample) {
+		t.Fatalf("error = %v, want ErrSample", err)
+	}
+	if consumed() != 0 {
+		t.Error("short snapshot consumed samples")
 	}
 }

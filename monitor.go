@@ -2,6 +2,8 @@ package anomalia
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,12 +32,14 @@ type Monitor struct {
 	services int
 	cfg      config
 	dets     []*detect.Device
-	// walker shards snapshot validation and the per-device detector
-	// walk across WithIngestWorkers workers (default GOMAXPROCS); the
-	// merged abnormal set is byte-identical to a serial walk.
-	walker *detect.Walker
-	prev   *space.State
-	time   atomic.Int64
+	// walker shards row grading and the per-device detector walk
+	// across WithIngestWorkers workers (default GOMAXPROCS); the merged
+	// abnormal set is byte-identical to a serial walk. cleanBuf is the
+	// recycled grading mask both ingest policies fill.
+	walker   *detect.Walker
+	cleanBuf []bool
+	prev     *space.State
+	time     atomic.Int64
 	// spare recycles the state displaced by the previous Observe as the
 	// next snapshot buffer (a double buffer: Observe fully overwrites
 	// every row before reading it), and abnBuf recycles the abnormal-id
@@ -63,8 +67,8 @@ type Monitor struct {
 	dirDegraded  atomic.Int64
 	// health is the per-device state machine of the degraded ingest path
 	// (ObservePartial), created on the first partial tick so Observe-only
-	// monitors pay nothing for it; cleanBuf and rowsBuf are its recycled
-	// per-tick scratch (classification mask, effective-row table).
+	// monitors pay nothing for it; rowsBuf is its recycled effective-row
+	// table.
 	// The pointer is atomic so a concurrent stats snapshot sees either
 	// no tracker or a fully built one; statsMu serializes the tracker's
 	// mutations (the slow-path dispatch loop, Reset) against
@@ -72,10 +76,9 @@ type Monitor struct {
 	// outside the mutex: ConsumeAll touches only per-device consumption
 	// state no stats reader looks at, which is what keeps the quiet
 	// partial tick at 1 alloc and lock-free.
-	health   atomic.Pointer[health.Tracker]
-	statsMu  sync.Mutex
-	cleanBuf []bool
-	rowsBuf  [][]float64
+	health  atomic.Pointer[health.Tracker]
+	statsMu sync.Mutex
+	rowsBuf [][]float64
 	// mx is the per-window metrics feed (WithMetrics); nil when the
 	// monitor is not instrumented — every record site is gated on that,
 	// so the uninstrumented hot path pays one predictable branch.
@@ -170,79 +173,32 @@ func (m *Monitor) Time() int { return int(m.time.Load()) }
 // only trains the detectors); otherwise it returns the characterization
 // of the abnormal set.
 //
-// Snapshot validation and the per-device detector walk are sharded
-// across WithIngestWorkers workers; the abnormal set is identical to a
-// serial walk whatever the count.
+// Observe is the strict ingest policy: every row is graded — present,
+// full width, finite — before any detector sees the snapshot. Grading
+// and the detector walk are sharded across WithIngestWorkers workers;
+// the abnormal set is identical to a serial walk whatever the count.
 //
 // Error behavior: a rejected snapshot — wrong row count or width, or a
 // non-finite QoS value (NaN would pass an interval test and poison
-// detector state, so it is rejected by name) — leaves the monitor
-// exactly as it was: no detector consumed a sample, the clock did not
-// advance, and the recycled buffers are intact. An error from the
-// characterization of an accepted snapshot reports a consumed
-// observation: the detectors have already folded the snapshot in, so
-// the clock and the previous-state buffer advance with them, the
-// displaced state is recycled, and the next Observe proceeds cleanly.
+// detector state, so it is rejected by name), named for the lowest
+// offending device — leaves the monitor exactly as it was: no detector
+// consumed a sample, the clock did not advance, and the recycled
+// buffers are intact. An accepted snapshot runs the tick tail shared
+// with ObservePartial, where an error from the window's
+// characterization reports a consumed observation: the detectors have
+// already folded the snapshot in, so the clock and the previous-state
+// buffer advance with them, the displaced state is recycled, and the
+// next tick proceeds cleanly.
 func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
-	if len(samples) != m.devices {
-		return nil, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), m.devices, ErrInvalidInput)
-	}
-	var start time.Time
-	if m.mx != nil {
-		start = time.Now()
-	}
-	cur := m.spare
-	m.spare = nil
-	if cur == nil {
-		var err error
-		cur, err = space.NewState(m.devices, m.services)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// One sharded pass copies each row into the current state and runs
-	// the device's detectors; the walker validates every row (width,
-	// finiteness) before the first mutation. Shards are disjoint device
-	// ranges, so the copies need no synchronization.
-	abnormal, err := m.walker.Walk(m.dets, samples, func(dev int, row []float64) {
-		dst := cur.At(dev)
-		copy(dst, row)
-		dst.Clamp()
-	}, m.abnBuf[:0])
-	m.abnBuf = abnormal
-	if err != nil {
-		// Nothing was consumed: hand the snapshot buffer back untouched.
-		m.spare = cur
-		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
-	}
-	var walked time.Time
-	if m.mx != nil {
-		walked = time.Now()
-	}
-	prev := m.prev
-	m.prev = cur
-	m.time.Add(1)
-	// The displaced snapshot is dead from here on whatever happens next
-	// — outcomes carry device ids, never state references, and the
-	// characterization below only reads it — so recycle it now; that
-	// keeps the double buffer intact on every error path too.
-	m.spare = prev
-	if prev == nil || len(abnormal) == 0 {
-		if m.mx != nil {
-			m.tickDone(start, time.Time{}, walked, nil, false)
-		}
-		return nil, nil
-	}
-
-	pair, err := motion.NewPair(prev, cur)
+	start, nClean, err := m.grade(samples)
 	if err != nil {
 		return nil, err
 	}
-	out, err := m.characterizeWindow(pair, abnormal)
-	if m.mx != nil {
-		m.tickDone(start, time.Time{}, walked, abnormal, true)
+	if nClean != m.devices {
+		dev := slices.Index(m.cleanBuf, false)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, rowError(dev, samples[dev], m.services))
 	}
-	return out, err
+	return m.tick(samples, start, m.now())
 }
 
 // ObservePartial consumes one possibly-degraded snapshot: one row per
@@ -278,25 +234,22 @@ func (m *Monitor) Observe(samples [][]float64) (*Outcome, error) {
 // re-admitted devices rejoin it on the window their detectors next
 // fire. DeviceHealth and HealthStats expose the current split.
 //
-// Error behavior: a snapshot with the wrong row count is rejected with
-// the monitor untouched, exactly as Observe rejects it. There is no
-// per-value rejection — malformed rows are the input this path exists
-// to absorb. A detector error during the walk of an accepted snapshot
-// (unreachable with the stock detectors, whose inputs are
-// pre-classified, but a custom Detector may fail) leaves the tick
-// uncommitted — clock, previous state and recycled buffers intact —
-// but not unconsumed: detectors in shards that completed have folded
-// the tick in, and every device's health state has already advanced
-// (states, streaks and lifetime counters include the failed tick).
-// Re-feeding the same snapshot would charge the health machine twice;
-// treat the tick as lost instead.
+// Error behavior: a wrong row count is rejected with the monitor
+// untouched, as on Observe; there is no per-value rejection — malformed
+// rows are the input this path exists to absorb. The tail shared with
+// Observe reports a characterization error as a consumed observation.
+// A detector-walk error in that tail leaves the tick uncommitted —
+// clock, previous state and recycled buffers intact — but not
+// unconsumed: detectors in finished shards have folded the tick in and
+// every device's health state has advanced, so re-feeding the same
+// snapshot charges the health machine twice while the clock advances
+// once; treat the tick as lost instead. Graded rows always match their
+// device's width, so no Detector can make the walk fail; the path is
+// defensive.
 func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
-	if len(samples) != m.devices {
-		return nil, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), m.devices, ErrInvalidInput)
-	}
-	var start time.Time
-	if m.mx != nil {
-		start = time.Now()
+	start, nClean, err := m.grade(samples)
+	if err != nil {
+		return nil, err
 	}
 	tracker := m.health.Load()
 	if tracker == nil {
@@ -307,10 +260,6 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 		m.health.Store(t)
 		tracker = t
 	}
-	if m.cleanBuf == nil {
-		m.cleanBuf = make([]bool, m.devices)
-	}
-	nClean := m.walker.Classify(m.dets, samples, m.cleanBuf)
 
 	// Fast path: a fully clean tick over an all-live fleet is exactly an
 	// Observe tick — every disposition is Consume — so the rows feed
@@ -339,11 +288,11 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 			case health.Hold:
 				// Hold implies a previously consumed report, so m.prev
 				// normally carries the device's last-known position. The
-				// one exception: a custom detector erroring on the
-				// consuming tick leaves the report folded into health
-				// state with the tick uncommitted (m.prev still nil) —
-				// park the device instead of dereferencing a state that
-				// never materialized.
+				// one exception: a walk error on the consuming tick
+				// leaves the report folded into health state with the
+				// tick uncommitted (m.prev still nil) — park the device
+				// instead of dereferencing a state that never
+				// materialized.
 				if m.prev == nil {
 					rows[dev] = nil
 				} else {
@@ -355,11 +304,39 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 		}
 		m.statsMu.Unlock()
 	}
-	var ingested time.Time
-	if m.mx != nil {
-		ingested = time.Now()
-	}
+	return m.tick(rows, start, m.now())
+}
 
+// grade is the front both ingest policies share: it rejects a wrong
+// row count and grades every row into cleanBuf without touching a
+// detector, returning the tick's start time and the clean-row count.
+func (m *Monitor) grade(samples [][]float64) (time.Time, int, error) {
+	if len(samples) != m.devices {
+		return time.Time{}, 0, fmt.Errorf("snapshot has %d rows, want %d: %w", len(samples), m.devices, ErrInvalidInput)
+	}
+	start := m.now()
+	if m.cleanBuf == nil {
+		m.cleanBuf = make([]bool, m.devices)
+	}
+	return start, m.walker.Classify(m.dets, samples, m.cleanBuf), nil
+}
+
+// rowError names what makes one graded-unclean row unusable, for the
+// strict policy's rejection.
+func rowError(dev int, row []float64, width int) error {
+	if len(row) != width {
+		return fmt.Errorf("device %d has %d coords, want %d: %w", dev, len(row), width, detect.ErrSample)
+	}
+	svc := slices.IndexFunc(row, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
+	return fmt.Errorf("device %d service %d: non-finite QoS %v: %w", dev, svc, row[svc], detect.ErrSample)
+}
+
+// tick is the tail both ingest policies share: rows[dev] is the sample
+// device dev consumes this tick, or nil when it sits out the window.
+// One sharded pass fills the spare state and runs the detectors; the
+// tick then commits and, given a predecessor and an abnormal set,
+// characterizes the window. start and ingested time the metrics feed.
+func (m *Monitor) tick(rows [][]float64, start, ingested time.Time) (*Outcome, error) {
 	cur := m.spare
 	m.spare = nil
 	if cur == nil {
@@ -390,22 +367,19 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 	}, m.abnBuf[:0])
 	m.abnBuf = abnormal
 	if err != nil {
-		// Unreachable with the stock detectors — rows are pre-classified,
-		// so Update cannot see a width or finiteness fault — but a custom
-		// Detector may still error; keep the double buffer intact. The
-		// health tracker keeps the tick it already consumed (see the doc
-		// comment): rolling back a partially-applied per-device walk
-		// would leave states and streaks inconsistent with the detectors
-		// that did update.
+		// Keep the double buffer intact but roll nothing back (see
+		// ObservePartial): undoing a partial walk would leave health
+		// states inconsistent with the detectors that did update.
 		m.spare = cur
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
-	var walked time.Time
-	if m.mx != nil {
-		walked = time.Now()
-	}
+	walked := m.now()
 	m.prev = cur
 	m.time.Add(1)
+	// The displaced snapshot is dead from here on whatever happens next
+	// — outcomes carry device ids, never state references, and the
+	// characterization below only reads it — so recycle it now; that
+	// keeps the double buffer intact on every error path too.
 	m.spare = prev
 	if prev == nil || len(abnormal) == 0 {
 		if m.mx != nil {
@@ -422,6 +396,15 @@ func (m *Monitor) ObservePartial(samples [][]float64) (*Outcome, error) {
 		m.tickDone(start, ingested, walked, abnormal, true)
 	}
 	return out, err
+}
+
+// now reads the clock for the metrics feed; an uninstrumented monitor
+// skips the read.
+func (m *Monitor) now() time.Time {
+	if m.mx == nil {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 // DeviceHealth returns device dev's current health state. Devices are
@@ -505,9 +488,7 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 		// oracle the networked one is pinned to, so fall back for this
 		// window; the client re-syncs shards on the next abnormal window.
 		m.dirDegraded.Add(1)
-		central := m.cfg
-		central.distributed = false
-		return characterizePair(pair, abnormal, central)
+		return characterizePair(pair, abnormal, m.cfg)
 	}
 	if m.dir == nil {
 		dir, err := dist.NewDirectory(pair, abnormal, m.cfg.radius)
@@ -562,7 +543,8 @@ func (m *Monitor) DirStats() DirStats {
 }
 
 // Reset clears the detectors, the snapshot history, the persistent
-// directory and the per-device health state, keeping the
+// directory, the per-device health state and the churn baseline of the
+// metrics feed, keeping the
 // configuration. A networked directory client drops its connections
 // and forgets shard sync and breaker state, but the lifetime DirStats
 // counters survive — the wire ledger spans resets the way a process's
@@ -577,6 +559,12 @@ func (m *Monitor) Reset() {
 	m.dir = nil
 	if m.dirClient != nil {
 		m.dirClient.Reset()
+	}
+	if m.mx != nil {
+		// The churn gauge diffs against the previous abnormal set; the
+		// first abnormal window after a reset scores against the empty
+		// set, like the first one ever.
+		m.mx.prevAbn = m.mx.prevAbn[:0]
 	}
 	if t := m.health.Load(); t != nil {
 		m.statsMu.Lock()

@@ -2,11 +2,14 @@ package anomalia
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"anomalia/internal/core"
+	"anomalia/internal/detect"
 	"anomalia/internal/paperfig"
 	"anomalia/internal/space"
 )
@@ -63,7 +66,8 @@ func TestMonitorShardedParity(t *testing.T) {
 // let it poison detector and space state — and the refused snapshot
 // must leave the monitor exactly as it was: same clock, same recycled
 // buffers, and detector state identical to a twin monitor that never
-// saw the bad snapshot. Exercised on both the serial and sharded walks.
+// saw the bad snapshot. Exercised on both the serial and sharded walks,
+// for non-finite values, a width mismatch, and offenders in two shards.
 func TestMonitorRejectsNonFinite(t *testing.T) {
 	t.Parallel()
 
@@ -97,11 +101,29 @@ func TestMonitorRejectsNonFinite(t *testing.T) {
 			}
 			prevPtr, sparePtr := m.prev, m.spare
 
-			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			// Each corruption names the device the error must report:
+			// with offenders in several shards, the lowest one — the
+			// error a serial walk would give.
+			lo, hi := tc.n/4+1, tc.n-5
+			for _, bad := range []struct {
+				name    string
+				corrupt func(snap [][]float64)
+				dev     int
+			}{
+				{"nan", func(s [][]float64) { s[tc.n/2][0] = math.NaN() }, tc.n / 2},
+				{"+inf", func(s [][]float64) { s[tc.n/2][0] = math.Inf(1) }, tc.n / 2},
+				{"-inf", func(s [][]float64) { s[tc.n/2][0] = math.Inf(-1) }, tc.n / 2},
+				{"width", func(s [][]float64) { s[tc.n/2] = []float64{0.5, 0.5} }, tc.n / 2},
+				{"lowest", func(s [][]float64) { s[hi][0] = math.Inf(1); s[lo][0] = math.NaN() }, lo},
+			} {
 				snap := fleetSnapshot(tc.n, 0.95, nil)
-				snap[tc.n/2][0] = bad
-				if _, err := m.Observe(snap); !errors.Is(err, ErrInvalidInput) {
-					t.Fatalf("Observe with %v: error = %v, want ErrInvalidInput", bad, err)
+				bad.corrupt(snap)
+				_, err := m.Observe(snap)
+				if !errors.Is(err, ErrInvalidInput) {
+					t.Fatalf("Observe with %v: error = %v, want ErrInvalidInput", bad.name, err)
+				}
+				if !errors.Is(err, detect.ErrSample) || !strings.Contains(err.Error(), fmt.Sprintf("device %d ", bad.dev)) {
+					t.Errorf("%s: error %q does not name device %d as an invalid sample", bad.name, err, bad.dev)
 				}
 				if m.Time() != 2 {
 					t.Errorf("clock advanced to %d on a rejected snapshot", m.Time())

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"anomalia/internal/detect"
 	"anomalia/internal/health"
 )
 
@@ -445,6 +446,55 @@ func TestObservePartialHoldWithoutCommittedState(t *testing.T) {
 	}
 	if st, _ := mon.DeviceHealth(3); st != HealthLive {
 		t.Fatalf("device 3 health %v after clean report, want live", st)
+	}
+}
+
+// TestObservePartialWalkErrorDoubleCharge pins the documented cost of a
+// failed degraded tick: the health dispatch runs before the shared
+// walk, so a walk error leaves the tick uncommitted with its health
+// charges in place, and re-feeding the same snapshot charges them again
+// while the clock advances once. No Detector can fail the walk through
+// the public API — graded rows always match their device's width — so
+// the test swaps in a device one service wider than the monitor, for
+// which the held row is malformed.
+func TestObservePartialWalkErrorDoubleCharge(t *testing.T) {
+	t.Parallel()
+
+	const n, dev = 8, 5
+	mon, err := NewMonitor(n, 1, WithHealthPolicy(HealthPolicy{HoldTicks: 3, ReadmitTicks: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := mon.ObservePartial(fleetSnapshot(n, 0.95, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := fleetSnapshot(n, 0.95, nil)
+	snap[dev] = nil // one missing report: held from the last-known value
+
+	good := mon.dets[dev]
+	wide, err := detect.NewDevice(2, func(int) (detect.Detector, error) { return detect.NewThreshold(0.05) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.dets[dev] = wide
+	if _, err := mon.ObservePartial(snap); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("failing walk: error = %v, want ErrInvalidInput", err)
+	}
+	if mon.Time() != 2 {
+		t.Fatalf("failed tick committed: Time = %d, want 2", mon.Time())
+	}
+	mon.dets[dev] = good
+	if _, err := mon.ObservePartial(snap); err != nil {
+		t.Fatal(err)
+	}
+	if mon.Time() != 3 {
+		t.Errorf("Time = %d after the re-fed tick, want 3 (one advance)", mon.Time())
+	}
+	if hs := mon.HealthStats(); hs.FaultyTicks != 2 || hs.HeldTicks != 2 {
+		t.Errorf("one missing report charged FaultyTicks=%d HeldTicks=%d, want 2 each (one per feed)",
+			hs.FaultyTicks, hs.HeldTicks)
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 // the plain one). The family names are documented in the package
 // comment's Observability section and pinned by a doc-sync test.
 type monitorMetrics struct {
-	ticks           *metrics.Counter
-	tickIngest      *metrics.Histogram
-	tickDetect      *metrics.Histogram
+	ticks            *metrics.Counter
+	tickIngest       *metrics.Histogram
+	tickDetect       *metrics.Histogram
 	tickCharacterize *metrics.Histogram
-	tickTotal       *metrics.Histogram
+	tickTotal        *metrics.Histogram
 
 	abnormalWindows *metrics.Counter
 	abnormalDevices *metrics.Histogram
@@ -47,11 +47,11 @@ type monitorMetrics struct {
 	wireBytesRecv  *metrics.Counter
 	wireRoundTrips *metrics.Counter
 
-	heapAlloc   *metrics.Gauge
-	allocBytes  *metrics.Counter
-	mallocs     *metrics.Counter
-	gcCycles    *metrics.Counter
-	gcPauseNs   *metrics.Counter
+	heapAlloc  *metrics.Gauge
+	allocBytes *metrics.Counter
+	mallocs    *metrics.Counter
+	gcCycles   *metrics.Counter
+	gcPauseNs  *metrics.Counter
 
 	// ms is the reused ReadMemStats buffer (the struct is ~2 KB; a
 	// per-window local would be free too, but reuse keeps the record
@@ -65,7 +65,7 @@ type monitorMetrics struct {
 func newMonitorMetrics(reg *metrics.Registry) *monitorMetrics {
 	phase := func(p string) *metrics.Histogram {
 		return reg.Histogram("anomalia_tick_seconds",
-			"Observe/ObservePartial latency by phase (ingest: snapshot acceptance and health dispatch; detect: the sharded detector walk; characterize: window characterization, abnormal windows only; total: the whole tick).",
+			"Observe/ObservePartial latency by phase (ingest: row grading, plus health dispatch on ObservePartial; detect: the sharded detector walk; characterize: window characterization, abnormal windows only; total: the whole tick).",
 			metrics.DefBuckets, metrics.Label{Name: "phase", Value: p})
 	}
 	return &monitorMetrics{
@@ -120,20 +120,16 @@ func newMonitorMetrics(reg *metrics.Registry) *monitorMetrics {
 // networked-directory ledger and a GC/heap sample. Called once per
 // committed tick, quiet or abnormal; everything here is an atomic
 // store on a pre-registered series, so it adds no allocation to the
-// tick. ingested is zero on the plain Observe path (which has no
-// classify/dispatch phase); characterized is false on quiet windows,
-// whose characterize phase would otherwise pollute the histogram with
-// empty samples.
+// tick. The ingest phase is the ingest policy's share — grading, plus
+// the health dispatch on ObservePartial; characterized is false on
+// quiet windows, whose characterize phase would otherwise pollute the
+// histogram with empty samples.
 func (m *Monitor) tickDone(start, ingested, walked time.Time, abnormal []int, characterized bool) {
 	mx := m.mx
 	now := time.Now()
 	mx.ticks.Inc()
-	if !ingested.IsZero() {
-		mx.tickIngest.Observe(ingested.Sub(start).Seconds())
-		mx.tickDetect.Observe(walked.Sub(ingested).Seconds())
-	} else {
-		mx.tickDetect.Observe(walked.Sub(start).Seconds())
-	}
+	mx.tickIngest.Observe(ingested.Sub(start).Seconds())
+	mx.tickDetect.Observe(walked.Sub(ingested).Seconds())
 	if characterized {
 		mx.tickCharacterize.Observe(now.Sub(walked).Seconds())
 	}

@@ -86,6 +86,7 @@ func TestMonitorMetricsFeed(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE anomalia_tick_seconds histogram",
+		`anomalia_tick_seconds_bucket{phase="ingest",le="+Inf"} 8`,
 		`anomalia_tick_seconds_bucket{phase="detect",le="+Inf"} 8`,
 		`anomalia_tick_seconds_bucket{phase="characterize",le="+Inf"} 3`,
 		`anomalia_health_devices{state="stale"} 1`,
@@ -93,6 +94,24 @@ func TestMonitorMetricsFeed(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+
+	// Reset clears the churn baseline: the first abnormal window after
+	// it scores against the empty set (1), however much it overlaps the
+	// last pre-Reset abnormal set.
+	m.Reset()
+	for i := 0; i < 2; i++ {
+		if _, err := m.Observe(fleetSnapshot(n, 0.95, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := m.Observe(fleetSnapshot(n, 0.95, map[int]float64{
+		3: 0.5, 4: 0.5, 5: 0.2,
+	})); err != nil || out == nil {
+		t.Fatalf("post-Reset abnormal window: out=%v err=%v", out, err)
+	}
+	if churn := reg.Gauge("anomalia_abnormal_churn_ratio", "").Value(); churn != 1 {
+		t.Errorf("churn ratio after Reset = %v, want 1", churn)
 	}
 }
 
