@@ -247,37 +247,46 @@
 //     (degeneracy-ordered Bron-Kerbosch over N(v), with Δ the maximum
 //     degree), so enumeration scratch is O(Δ^2/64) bits from the same
 //     recycled pool and results are property-tested identical to the
-//     dense representation.
+//     dense representation. Densifying reads each neighbour's sub-index
+//     from a vertex-indexed position stamp (one int32 per vertex per
+//     pooled scratch), so it costs O(Σ deg) over the neighbourhood.
 //   - Characterization is component-local. The motion graph is
 //     decomposed into connected components once per window, and every
 //     rule of Theorems 5-7 is local to a component — a maximal motion
 //     is a clique, D_k(j) unions motions containing j, and J_k/L_k
-//     split D_k(j), so none of them crosses a component boundary. Each
-//     decision therefore works on bitsets over component ranks: the
-//     D_k union, the J_k/L_k split and the Theorem-6 intersection test
-//     are word-parallel over O(|C|/64) words for a |C|-member
-//     component instead of O(m/64) over the whole abnormal universe,
-//     and device-id slices materialize only at the Result boundary.
+//     split D_k(j), so none of them crosses a component boundary.
 //     Maximal motions are enumerated once per component — a single
 //     Bron-Kerbosch over the densified component subgraph, falling
 //     back to Δ-bounded anchored per-vertex enumeration when a
 //     CSR-mode component exceeds the dense crossover (dense-row graphs
 //     densify whatever the component size: that scratch never exceeds
-//     the adjacency they already carry) — and every member reads
-//     its family out of the shared sorted result, so an adversarial
-//     window in which all m devices are abnormal pays enumeration per
-//     component, not per device. Decision scratch is leased from
-//     size-class-bucketed pools (power-of-two word classes), so a
-//     mass-event-sized decision never hands its giant buffer to a
-//     later tiny component's lease. At m = 200k all-abnormal the fleet
-//     characterizes in ~1.9 s and ~0.35 GB allocated, from ~128 s and
-//     29.5 GB before the decomposition, and the latency scaling
-//     exponent across m = 10k -> 200k drops from 1.69 to ~1.2
-//     (BENCH_7.json; the m = 50k point is gated in CI). A parity suite
-//     pins verdicts, sets and cost counters bit-identical to the
-//     whole-graph-universe reference across placement families,
-//     adjacency representations and exact modes, serial and parallel
-//     under the race detector.
+//     the adjacency they already carry) — and each motion is kept as a
+//     sorted component-rank list next to its id slice, both carved
+//     from one slab per component. Every member reads its family out
+//     of a rank-indexed memo array, so an adversarial window in which
+//     all m devices are abnormal pays enumeration per component, not
+//     per device.
+//   - A decision costs the size of the device's own motions, not the
+//     width of its component. One counting pass over W̄_k(j) gives
+//     D_k(j) and cnt[ℓ], the number of j's dense motions containing
+//     ℓ; since every dense motion holding both ℓ and j is one of j's
+//     own, ℓ ∈ J_k(j) exactly when cnt[ℓ] = |W̄_k(ℓ)|, and the
+//     Theorem-6 test counts J members over each motion's ranks. The
+//     counts live in one pooled, epoch-stamped array, so a lease never
+//     clears it and a mass-event-sized array cannot leak counts into a
+//     later small component. Against the earlier per-decision bitsets
+//     over the whole component, the m = 50k all-abnormal window went
+//     from ~0.36 s / ~169k allocs to ~0.15-0.18 s / ~55-58k allocs
+//     (gated in CI), and the n = 1M mass-event characterization
+//     (BenchmarkTickBare1M) from ~2.6 s to ~0.35 s (2 vCPUs). The
+//     Bron-Kerbosch pivot scan stops at the first vertex covering all
+//     candidates, so a c-vertex clique costs O(c²/64) words rather
+//     than O(c³/64). A parity suite pins verdicts, sets
+//     and cost counters bit-identical to the whole-graph-universe
+//     reference across placement families, adjacency representations
+//     and exact modes, serial and parallel under the race detector,
+//     and a naive oracle that rebuilds J_k/L_k from the paper's
+//     definition pins the split in dense and anchored sparse windows.
 //   - Monitor recycles the displaced snapshot as the next window's
 //     buffer and reuses the abnormal-id slice, so steady-state
 //     observation does not grow the heap per snapshot; the detector

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"anomalia/internal/sets"
 )
@@ -15,7 +16,10 @@ func (c *Characterizer) Characterize(j int) (Result, error) {
 	res := Result{Device: j}
 
 	// Line 2-3 of Algorithm 3: maximal motions of j, then W̄_k(j).
-	ent := c.denseMotionsOf(j)
+	lj, _ := c.graph.Local(j)
+	comp := c.comps.Of(lj)
+	entries := c.componentEntries(comp)
+	ent := entries[c.comps.Rank(lj)]
 	res.Cost.MaximalMotions = ent.total
 	res.Cost.DenseMotions = len(ent.ids)
 	res.Dense = ent.ids
@@ -27,56 +31,55 @@ func (c *Characterizer) Characterize(j int) (Result, error) {
 		return res, nil
 	}
 
-	// Build D_k(j) and split it into J_k(j) / L_k(j), all as bitsets over
-	// j's component-local indices: the motions are cached in that
-	// representation, so the D_k union, the membership probes of the
-	// split and the Theorem-6 intersection are pure word operations with
-	// no id translation; device-id slices are materialized only at the
-	// Result boundary. Component-local indices follow sorted device ids,
-	// so iteration and the appended slices come out in id order, exactly
-	// as the full-graph implementation produced them. The working bitsets
-	// come from the characterizer's size-bucketed pool, leased at the
-	// component's universe: a fleet pass reuses one set per worker and
-	// size class, and the word algebra costs O(|component|/64) per
-	// operation instead of O(m/64).
-	lj, _ := c.graph.Local(j)
-	comp := c.comps.Of(lj)
-	verts := c.comps.Verts(comp)
-	rj := c.comps.Rank(lj)
-	sc := c.getScratch(len(verts))
-	defer c.putScratch(sc)
-	dkB, jB, lB := sc.dk, sc.j, sc.l
-	for _, mo := range ent.bits {
-		dkB.Or(mo)
-	}
-	dkB.ForEach(func(ri int) bool {
-		l := c.graph.IDOf(int(verts[ri]))
-		lEnt := c.denseMotionsOf(l)
-		if l != j {
-			res.Cost.NeighborsScanned++
-		}
-		inL := false
-		for _, mo := range lEnt.bits {
-			if !mo.Has(rj) {
-				inL = true
-				break
+	// One counting pass over j's own dense motions yields D_k(j) and,
+	// per ℓ ∈ D_k(j), cnt[ℓ] = #{M ∈ W̄_k(j) : ℓ ∈ M}. Every maximal
+	// dense motion containing both ℓ and j is one of j's own, so ℓ ∈
+	// J_k(j) — all of W̄_k(ℓ) contains j — exactly when cnt[ℓ] =
+	// |W̄_k(ℓ)|. The work is Σ|M| over W̄_k(j), whatever the width of
+	// j's component. Component ranks follow sorted device ids, so the
+	// sorted rank list of D_k(j) materializes J and L in id order.
+	sc := countPool.Get().(*countScratch)
+	defer countPool.Put(sc)
+	sc.reset(len(entries))
+	for _, mo := range ent.ranks {
+		for _, r := range mo {
+			if sc.bump(r) {
+				sc.dk = append(sc.dk, r)
 			}
 		}
-		if inL {
-			lB.Add(ri)
-		} else {
-			jB.Add(ri)
+	}
+	slices.Sort(sc.dk)
+	res.Cost.NeighborsScanned = len(sc.dk) - 1 // D_k(j) \ {j}
+	nJ := 0
+	for _, r := range sc.dk {
+		if s := &sc.slots[r]; int(s.cnt) == len(entries[r].ranks) {
+			s.cnt = inJ
+			nJ++
 		}
-		return true
-	})
-	res.J = c.comps.AppendIds(jB, comp, make([]int, 0, jB.Len()))
-	res.L = c.comps.AppendIds(lB, comp, make([]int, 0, lB.Len()))
+	}
+	verts := c.comps.Verts(comp)
+	split := make([]int, len(sc.dk))
+	res.J, res.L = split[:0:nJ], split[nJ:nJ]
+	for _, r := range sc.dk {
+		id := c.graph.IDOf(int(verts[r]))
+		if sc.slots[r].cnt == inJ {
+			res.J = append(res.J, id)
+		} else {
+			res.L = append(res.L, id)
+		}
+	}
 
 	// Theorem 6 (lines 17-18 of Algorithm 3): a dense motion of j inside
 	// J_k(j) proves massive. |M ∩ J| > τ suffices because M ∩ J is itself
 	// a motion (subset of the clique M) containing j.
-	for _, mo := range ent.bits {
-		if mo.IntersectionLen(jB) > c.cfg.Tau {
+	for _, mo := range ent.ranks {
+		in := 0
+		for _, r := range mo {
+			if sc.slots[r].cnt == inJ {
+				in++
+			}
+		}
+		if in > c.cfg.Tau {
 			res.Class = ClassMassive
 			res.Rule = RuleTheorem6
 			return res, nil
@@ -93,7 +96,9 @@ func (c *Characterizer) Characterize(j int) (Result, error) {
 	// Theorem 7 (massive) and Corollary 8 (unresolved). The search works
 	// on sorted id slices; D_k is materialized into pooled scratch (the
 	// search reads it only for the duration of the call).
-	sc.dkIds = c.comps.AppendIds(dkB, comp, sc.dkIds[:0])
+	for _, r := range sc.dk {
+		sc.dkIds = append(sc.dkIds, c.graph.IDOf(int(verts[r])))
+	}
 	violating, tested, err := c.searchViolating(j, sc.dkIds, res.L)
 	res.Cost.CollectionsTested = tested
 	if err != nil {
@@ -108,6 +113,9 @@ func (c *Characterizer) Characterize(j int) (Result, error) {
 	}
 	return res, nil
 }
+
+// inJ replaces the (positive) count of a D_k(j) member found in J_k(j).
+const inJ = -1
 
 // CharacterizeAll classifies every abnormal device, in id order.
 func (c *Characterizer) CharacterizeAll() ([]Result, error) {

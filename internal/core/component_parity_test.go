@@ -95,8 +95,8 @@ func subsetIds(rng *stats.RNG, n int, fraction float64) []int {
 // runParity characterizes the window three ways over one shared graph —
 // component-local serial, component-local parallel, and the
 // whole-graph-component reference oracle (the identity decomposition
-// running the identical code path with full-graph universes, i.e. the
-// pre-component behaviour) — and requires bytewise-identical results.
+// running the identical code path over one graph-wide component) — and
+// requires bytewise-identical results.
 func runParity(t *testing.T, label string, pair *motion.Pair, ids []int, cfg Config) {
 	t.Helper()
 	g := motion.NewGraph(pair, ids, cfg.R)
@@ -232,45 +232,69 @@ func TestComponentLocalParityDenseOversized(t *testing.T) {
 	runParity(t, "dense-oversized/all-abnormal", pair, allIds(n), Config{R: r, Tau: 2})
 }
 
-// TestScratchPoolSizeClasses pins the retention fix: a lease after a
-// mass-event-sized decision must not hand back the mass-event buffer for
-// a tiny component, and each size class recycles its own buffers.
-func TestScratchPoolSizeClasses(t *testing.T) {
-	var c Characterizer
-	big := c.getScratch(200_000)
-	if big.dk.Universe() != 200_000 {
-		t.Fatalf("big universe = %d", big.dk.Universe())
-	}
-	c.putScratch(big)
-	small := c.getScratch(40)
-	if small == big {
-		t.Fatal("40-bit lease returned the 200k-bit scratch")
-	}
-	if small.dk.Universe() != 40 || small.j.Universe() != 40 || small.l.Universe() != 40 {
-		t.Fatalf("small universes = %d/%d/%d", small.dk.Universe(), small.j.Universe(), small.l.Universe())
-	}
-	c.putScratch(small)
-	if again := c.getScratch(60); again != small {
-		t.Error("same-class lease did not recycle the pooled scratch")
-	}
-	if again := c.getScratch(200_000); again != big {
-		t.Error("mass-event-class lease did not recycle its own pooled scratch")
-	}
-}
-
-// TestScratchClassBoundaries pins the size-class function at its word
-// boundaries: leases resize strictly within the class they came from.
-func TestScratchClassBoundaries(t *testing.T) {
-	t.Parallel()
-
-	cases := []struct{ n, class int }{
-		{0, 0}, {1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2},
-		{4096, 6}, {4097, 7},
-	}
-	for _, tc := range cases {
-		if got := scratchClass(tc.n); got != tc.class {
-			t.Errorf("scratchClass(%d) = %d, want %d", tc.n, got, tc.class)
+// TestCountScratchLeaseIsolation pins the pooled decision scratch: a
+// mass-event-sized lease left full of counts and J marks must read as
+// unset in every later lease — including across an epoch wrap — and a
+// small window must characterize identically before and after such a
+// lease has been through the pool.
+func TestCountScratchLeaseIsolation(t *testing.T) {
+	rng := stats.NewRNG(606)
+	pair := parityPair(t, rng, "clustered", 120, 0.03)
+	cfg := Config{R: 0.03, Tau: 2}
+	characterize := func() []Result {
+		c, err := New(pair, allIds(120), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		out, err := c.CharacterizeAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := characterize()
+
+	const mass = 200_000
+	poison := func(sc *countScratch) {
+		for r := int32(0); r < mass; r++ {
+			sc.bump(r)
+			sc.bump(r)
+			if r%2 == 0 {
+				sc.slots[r].cnt = inJ
+			}
+		}
+	}
+	unset := func(sc *countScratch, n int, label string) {
+		t.Helper()
+		for r := 0; r < n; r++ {
+			if sc.slots[r].stamp == sc.epoch {
+				t.Fatalf("%s: rank %d carries count %d from an earlier lease", label, r, sc.slots[r].cnt)
+			}
+		}
+	}
+
+	// Direct: the same scratch re-leased at a small size, and again
+	// across the epoch wrap, where stale stamps would otherwise match.
+	var sc countScratch
+	sc.reset(mass)
+	poison(&sc)
+	sc.reset(40)
+	unset(&sc, 40, "re-lease")
+	sc.epoch = ^uint32(0)
+	for r := range sc.slots {
+		sc.slots[r].stamp = 1 // the epoch a naive wrap would land on
+	}
+	sc.reset(40)
+	unset(&sc, mass, "epoch wrap")
+
+	// Through the pool: poison a mass-event lease, return it, and the
+	// small window must not notice.
+	big := countPool.Get().(*countScratch)
+	big.reset(mass)
+	poison(big)
+	countPool.Put(big)
+	if got := characterize(); !reflect.DeepEqual(got, want) {
+		t.Fatal("small-window results changed after a mass-event lease went through the pool")
 	}
 }
 
@@ -300,9 +324,10 @@ func TestMixedWindowAllocFootprint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocated := after.TotalAlloc - before.TotalAlloc
 
-	// Measured ~27 MB at this size; the pre-component implementation
-	// interpolates to ~150 MB and the ceiling leaves ~2.5x headroom.
-	const ceiling = 70 << 20
+	// Measured ~25 MB at this size (~27 MB with the earlier component-
+	// wide motion bitsets); the pre-component implementation
+	// interpolates to ~150 MB and the ceiling leaves ~2x headroom.
+	const ceiling = 50 << 20
 	if allocated > ceiling {
 		t.Fatalf("characterization allocated %d MB, ceiling %d MB",
 			allocated>>20, ceiling>>20)

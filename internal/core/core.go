@@ -21,7 +21,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"anomalia/internal/motion"
@@ -153,8 +152,8 @@ type Result struct {
 }
 
 // Characterizer runs the local decision procedures over one observation
-// window. It caches per-device motion enumerations so that a fleet-wide
-// pass costs each neighbourhood once.
+// window. It memoizes the maximal-motion enumeration per connected
+// component so that a fleet-wide pass costs each neighbourhood once.
 type Characterizer struct {
 	pair     *motion.Pair
 	abnormal []int
@@ -162,93 +161,74 @@ type Characterizer struct {
 	graph    *motion.Graph
 	// comps is the connected-component decomposition of the motion graph.
 	// Every set a decision for device j consults lives inside j's
-	// component, so all per-decision bitsets are sized to the component's
-	// compact renumbering instead of the full vertex universe.
+	// component, so the memo and the decision scratch are indexed by
+	// component rank instead of by device id.
 	comps *motion.Components
-	// denseCache memoizes W̄_k(ℓ) per device, in both representations.
-	denseCache map[int]denseEntry
-	// scratch pools the per-decision working sets of Characterize so a
-	// fleet-wide pass reuses a handful of bitsets instead of allocating
-	// three per device; pooling keeps the parallel pass safe. Pools are
-	// bucketed by universe size class so decisions in a 40-device
-	// component never inherit (or retain) bitsets sized for a 200k-device
-	// mass event.
-	scratch scratchPools
+	// byComp[c] memoizes component c's entries, indexed by rank; nil
+	// until the component is enumerated.
+	byComp [][]denseEntry
 }
 
 // denseEntry is the memoized enumeration for one device ℓ: the maximal
 // τ-dense motions W̄_k(ℓ) as sorted device-id sets (shared with
-// Result.Dense) and as bitsets over ℓ's component-local indices
-// (element i of both slices is the same motion — the hot path does its
-// set algebra on the bitsets with no id translation), plus |M(ℓ)|
-// before density filtering for cost reporting. The graph guarantees the
-// bitset representation in both of its adjacency modes: sparse-mode
-// (CSR) windows enumerate inside densified neighbourhood subgraphs and
-// project the reported cliques, so the D_k/J_k/L_k word algebra below
-// is representation-blind.
+// Result.Dense) and as sorted component-rank lists (element i of both
+// slices is the same motion; the decision counts over the rank lists
+// with no id translation), plus |M(ℓ)| before density filtering for
+// cost reporting. Motions are shared read-only across the entries of
+// every member they contain.
 type denseEntry struct {
 	ids   [][]int
-	bits  []*sets.Bits
+	ranks []sets.Sorted
 	total int
 }
 
-// charScratch is the reusable working set of one Characterize call:
-// bitsets over component-local indices for D_k(j), J_k(j) and L_k(j),
-// plus a buffer for materializing D_k ids.
-type charScratch struct {
-	dk, j, l *sets.Bits
-	dkIds    []int
+// countSlot is one component rank's count in the current decision,
+// valid only while stamp equals the scratch epoch.
+type countSlot struct {
+	stamp uint32
+	cnt   int32
 }
 
-// scratchPools buckets pooled charScratch values by universe size class:
-// pools[k] serves universes of up to 64<<k bits (word counts in
-// (2^(k-1), 2^k]). Leases resize within the class they came from, so a
-// scratch never migrates classes and Put-time classification by current
-// universe is exact. Bucketing is what makes pooling safe across mixed
-// component sizes — without it, one mass-event decision would seed the
-// pool with full-window bitsets that every later 40-device decision
-// drags around (and pins in memory) for the life of the characterizer.
-type scratchPools struct {
-	pools [scratchClasses]sync.Pool
+// countScratch is the reusable working set of one Characterize call: an
+// epoch-stamped count per component rank, plus D_k(j) as ranks and as
+// ids. Bumping the epoch invalidates every slot at once, so a lease
+// never clears the array, and a mass-event-sized array left in the pool
+// cannot leak its counts into a later small component.
+type countScratch struct {
+	slots []countSlot
+	epoch uint32
+	dk    sets.Sorted
+	dkIds []int
 }
 
-// scratchClasses covers word counts up to 2^31 — universes far beyond
-// any device population; larger requests clamp into the last class.
-const scratchClasses = 32
+// countPool recycles decision scratch across decisions, characterizers
+// and windows; pooling keeps the parallel pass safe.
+var countPool = sync.Pool{New: func() any { return new(countScratch) }}
 
-// scratchClass returns the pool bucket for a universe of n bits.
-func scratchClass(n int) int {
-	words := (n + 63) / 64
-	if words <= 1 {
-		return 0
+// reset starts a new decision over ranks [0, n): a fresh epoch turns
+// every slot stale without touching the array.
+func (sc *countScratch) reset(n int) {
+	if len(sc.slots) < n {
+		sc.slots = make([]countSlot, n)
 	}
-	k := bits.Len(uint(words - 1))
-	if k >= scratchClasses {
-		k = scratchClasses - 1
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could match again
+		clear(sc.slots)
+		sc.epoch = 1
 	}
-	return k
+	sc.dk, sc.dkIds = sc.dk[:0], sc.dkIds[:0]
 }
 
-// getScratch leases a cleared working set over the universe [0, n);
-// return it with putScratch.
-func (c *Characterizer) getScratch(n int) *charScratch {
-	sc, _ := c.scratch.pools[scratchClass(n)].Get().(*charScratch)
-	if sc == nil {
-		return &charScratch{
-			dk: sets.NewBits(n),
-			j:  sets.NewBits(n),
-			l:  sets.NewBits(n),
-		}
+// bump counts one more occurrence of rank r and reports whether it is
+// the first in this decision.
+func (sc *countScratch) bump(r int32) bool {
+	s := &sc.slots[r]
+	if s.stamp != sc.epoch {
+		s.stamp, s.cnt = sc.epoch, 1
+		return true
 	}
-	sc.dk.Resize(n)
-	sc.j.Resize(n)
-	sc.l.Resize(n)
-	sc.dkIds = sc.dkIds[:0]
-	return sc
-}
-
-func (c *Characterizer) putScratch(sc *charScratch) {
-	c.scratch.pools[scratchClass(sc.dk.Universe())].Put(sc)
+	s.cnt++
+	return false
 }
 
 // New builds a characterizer for the window described by pair, the
@@ -281,16 +261,16 @@ func newCharacterizer(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph)
 
 // newCharacterizerComps additionally injects the component decomposition.
 // Production always passes g.Components(); the parity suite passes
-// g.WholeGraphComponent() to run the identical code path with full-graph
-// universes — the pre-component reference behaviour.
+// g.WholeGraphComponent() to run the identical code path over one
+// graph-wide component, whose ranks are the graph-local indices.
 func newCharacterizerComps(pair *motion.Pair, ids []int, cfg Config, g *motion.Graph, cs *motion.Components) *Characterizer {
 	return &Characterizer{
-		pair:       pair,
-		abnormal:   ids,
-		cfg:        cfg,
-		graph:      g,
-		comps:      cs,
-		denseCache: make(map[int]denseEntry, len(ids)),
+		pair:     pair,
+		abnormal: ids,
+		cfg:      cfg,
+		graph:    g,
+		comps:    cs,
+		byComp:   make([][]denseEntry, cs.Count()),
 	}
 }
 
@@ -305,45 +285,62 @@ func (c *Characterizer) Abnormal() []int { return c.abnormal }
 // i) holds W̄_k of the i-th member — the dense motions that include it,
 // in lexicographic order because the component family is sorted and a
 // member's family is a subsequence of it — plus its |M(ℓ)| count. One
-// Bron–Kerbosch run serves every device of the component, instead of
-// each member re-enumerating its own neighbourhood; motion id-slices
-// and bitsets are shared across the members' entries (all read-only).
+// Bron–Kerbosch run serves every device of the component. A counting
+// pass sizes each member's family, so the entries carve their motion
+// lists from one slab per representation.
 func (c *Characterizer) enumerateComponent(comp int) []denseEntry {
-	moIds, moBits := c.graph.MaximalMotionsOfComponent(comp, c.comps)
+	moIds, moRanks := c.graph.MaximalMotionsOfComponent(comp, c.comps)
 	entries := make([]denseEntry, c.comps.Size(comp))
-	for mi, mo := range moIds {
+	// Pass 1: count each member's dense motions (in total, for now).
+	slab := 0
+	for _, mo := range moRanks {
+		if motion.Dense(len(mo), c.cfg.Tau) {
+			for _, r := range mo {
+				entries[r].total++
+			}
+			slab += len(mo)
+		}
+	}
+	if slab > 0 {
+		idSlab := make([][]int, slab)
+		rankSlab := make([]sets.Sorted, slab)
+		off := 0
+		for i := range entries {
+			e := &entries[i]
+			if n := e.total; n > 0 {
+				e.ids = idSlab[off : off : off+n]
+				e.ranks = rankSlab[off : off : off+n]
+				off += n
+			}
+			e.total = 0
+		}
+	}
+	// Pass 2: fill the families in family order and count |M(ℓ)|.
+	for mi, mo := range moRanks {
 		dense := motion.Dense(len(mo), c.cfg.Tau)
-		bits := moBits[mi]
-		bits.ForEach(func(ri int) bool {
-			e := &entries[ri]
+		for _, r := range mo {
+			e := &entries[r]
 			e.total++
 			if dense {
-				e.ids = append(e.ids, mo)
-				e.bits = append(e.bits, bits)
+				e.ids = append(e.ids, moIds[mi])
+				e.ranks = append(e.ranks, mo)
 			}
-			return true
-		})
+		}
 	}
 	return entries
 }
 
-// cacheComponent memoizes every member entry of component comp and
-// returns the entries (indexed by component rank).
-func (c *Characterizer) cacheComponent(comp int) []denseEntry {
-	entries := c.enumerateComponent(comp)
-	for i, v := range c.comps.Verts(comp) {
-		c.denseCache[c.graph.IDOf(int(v))] = entries[i]
+// componentEntries returns component comp's memoized entries,
+// enumerating the component on a miss.
+func (c *Characterizer) componentEntries(comp int) []denseEntry {
+	if c.byComp[comp] == nil {
+		c.byComp[comp] = c.enumerateComponent(comp)
 	}
-	return entries
+	return c.byComp[comp]
 }
 
-// denseMotionsOf returns the memoized W̄_k(ℓ), enumerating ℓ's whole
-// component on a miss.
+// denseMotionsOf returns the memoized W̄_k(ℓ) of abnormal device ℓ.
 func (c *Characterizer) denseMotionsOf(l int) denseEntry {
-	if cached, ok := c.denseCache[l]; ok {
-		return cached
-	}
 	ll, _ := c.graph.Local(l)
-	entries := c.cacheComponent(c.comps.Of(ll))
-	return entries[c.comps.Rank(ll)]
+	return c.componentEntries(c.comps.Of(ll))[c.comps.Rank(ll)]
 }

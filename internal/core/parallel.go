@@ -19,9 +19,9 @@ import (
 // Work is partitioned along the component decomposition: each task is a
 // contiguous range of the component member slab, cut at component
 // boundaries (oversized components are split). A worker therefore works
-// through whole components at a time, touching one compact universe's
-// scratch and memo entries before moving on, instead of hopping between
-// components on every device.
+// through whole components at a time, touching one component's memo
+// entries before moving on, instead of hopping between components on
+// every device.
 //
 // Worth knowing: per-device decisions are microseconds at the paper's
 // density, so the pool only pays off on windows with expensive exact
@@ -47,35 +47,23 @@ func (c *Characterizer) CharacterizeAllParallel(workers int) ([]Result, error) {
 
 	// Phase 1: fill the motion memo in parallel, one enumeration per
 	// component (components are the memo's natural unit — one
-	// Bron–Kerbosch run yields every member's entry). Each worker
-	// computes into its own shard; shards merge into the shared cache
-	// before any decision reads it.
-	type compEntries struct {
-		comp    int
-		entries []denseEntry
-	}
+	// Bron–Kerbosch run yields every member's entry). Task ranges are
+	// disjoint, so each worker writes only its own byComp slots and the
+	// memo needs no lock; wg.Wait publishes it before any decision
+	// reads it.
 	var (
 		wg    sync.WaitGroup
-		mu    sync.Mutex
 		tasks = make(chan [2]int)
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local []compEntries
 			for r := range tasks {
 				for ci := r[0]; ci < r[1]; ci++ {
-					local = append(local, compEntries{comp: ci, entries: c.enumerateComponent(ci)})
+					c.byComp[ci] = c.enumerateComponent(ci)
 				}
 			}
-			mu.Lock()
-			for _, ce := range local {
-				for i, v := range c.comps.Verts(ce.comp) {
-					c.denseCache[c.graph.IDOf(int(v))] = ce.entries[i]
-				}
-			}
-			mu.Unlock()
 		}()
 	}
 	for _, r := range c.componentIndexRanges(workers) {

@@ -4,19 +4,18 @@ import "anomalia/internal/sets"
 
 // Components is the connected-component decomposition of a Graph, with a
 // compact per-component renumbering: every vertex carries a rank — its
-// position within its component's sorted member list — so any set a
-// decision touches can live in a bitset sized to the component instead
-// of the whole vertex universe.
+// position within its component's sorted member list — so per-component
+// state can be indexed by rank instead of by device id.
 //
 // The decomposition is the locality backbone of the characterization
 // layer (internal/core): every set the paper's decision rules consult
 // for device j (the dense motions W̄_k, D_k(j), the J_k/L_k split, the
 // Theorem 7 collections) lives inside j's 4r neighbourhood, which is in
-// turn inside j's connected component. Renumbering per component turns
-// the per-decision word algebra from O(m/64) per operation into
-// O(|component|/64) while keeping one shared universe per component, so
-// memoized motion bitsets stay directly comparable across all devices
-// of a component.
+// turn inside j's connected component. MaximalMotionsOfComponent reports
+// each motion as a sorted rank list next to its id slice, so the
+// characterizer keeps one rank-indexed memo array per component and
+// decides j with counting passes whose cost is the total size of j's
+// own motions, independent of the component's width.
 //
 // Components is read-only after construction and safe for concurrent
 // readers, exactly like the graph it decomposes.
@@ -99,10 +98,9 @@ func (g *Graph) Components() *Components {
 
 // WholeGraphComponent returns the degenerate decomposition that places
 // every vertex in one component — the identity renumbering, under which
-// every projected bitset spans the full graph universe. It reproduces
-// the pre-component full-graph scratch behaviour exactly and serves as
-// the reference oracle the component-local parity suites compare
-// against.
+// every rank is the graph-local index and every rank-indexed array
+// spans the whole graph. It serves as the reference oracle the
+// component-local parity suites compare against.
 func (g *Graph) WholeGraphComponent() *Components {
 	m := len(g.ids)
 	cs := &Components{
@@ -152,19 +150,6 @@ func (cs *Components) Verts(c int) []int32 {
 // the decomposition's slab — read-only.
 func (cs *Components) AllVerts() []int32 { return cs.verts }
 
-// AppendIds appends the device ids of the component-local bitset b of
-// component c to dst, in increasing id order, and returns the extended
-// slice — the component-space analogue of Graph.AppendIds.
-func (cs *Components) AppendIds(b *sets.Bits, c int, dst []int) []int {
-	verts := cs.Verts(c)
-	ids := cs.g.ids
-	b.ForEach(func(i int) bool {
-		dst = append(dst, ids[verts[i]])
-		return true
-	})
-	return dst // ranks follow sorted vertex order, so ids come out sorted
-}
-
 // componentDenseMax is the component size up to which
 // MaximalMotionsOfComponent densifies the whole component subgraph of a
 // sparse-mode graph for a single Bron–Kerbosch run (the same footprint
@@ -179,20 +164,22 @@ const componentDenseMax = sparseMinVertices
 
 // MaximalMotionsOfComponent enumerates every maximal motion among the
 // devices of component c — each exactly once — as sorted device-id sets
-// plus bitsets over the component-local universe, in the id sets'
-// lexicographic order (the per-device order of
-// MaximalMotionsContainingIn). One call serves the whole component: the
-// maximal motions containing any member are exactly the reported
-// motions that include it, because a motion containing a vertex never
-// leaves the vertex's component. This is the fleet pass's enumeration
-// amortization — per-device calls redo the same neighbourhood
-// densification and clique search once per member, turning adversarial
-// all-abnormal windows quadratic in cluster mass.
-func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []*sets.Bits) {
+// plus the same motions as sorted component-rank lists (element i of
+// both slices is one motion), in the id sets' lexicographic order (the
+// per-device order of MaximalMotionsContaining). One call serves the
+// whole component: the maximal motions containing any member are
+// exactly the reported motions that include it, because a motion
+// containing a vertex never leaves the vertex's component. This is the
+// fleet pass's enumeration amortization — per-device calls redo the
+// same neighbourhood densification and clique search once per member,
+// turning adversarial all-abnormal windows quadratic in cluster mass.
+// Each motion costs its own size in both representations: the id and
+// rank lists of the whole family are carved from one slab each.
+func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []sets.Sorted) {
 	verts := sets.Sorted(cs.Verts(c))
 	s := len(verts)
-	var out motionFamily
 	sc := g.getScratch()
+	sc.idBuf, sc.rankBuf, sc.ends = sc.idBuf[:0], sc.rankBuf[:0], sc.ends[:0]
 	if s <= componentDenseMax || !g.Sparse() {
 		// Densify the induced subgraph once — sub-index i is component
 		// rank i, so reported cliques are already component-local. Every
@@ -223,13 +210,12 @@ func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []*se
 		}
 		x := sc.lease(s)
 		bkOver(sub, r, p, x, sc, func(clique *sets.Bits) {
-			ids := make([]int, 0, clique.Len())
 			clique.ForEach(func(i int) bool {
-				ids = append(ids, g.ids[verts[i]])
+				sc.idBuf = append(sc.idBuf, g.ids[verts[i]])
+				sc.rankBuf = append(sc.rankBuf, int32(i))
 				return true
 			})
-			out.ids = append(out.ids, ids)
-			out.cliques = append(out.cliques, clique)
+			sc.ends = append(sc.ends, len(sc.idBuf))
 		})
 		sc.put(x)
 		sc.put(p)
@@ -263,16 +249,13 @@ func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []*se
 				}
 			}
 			bkOver(sub, r, p, x, sc, func(clique *sets.Bits) {
-				wide := sets.NewBits(s)
-				ids := make([]int, 0, clique.Len())
 				clique.ForEach(func(i int) bool {
 					u := nverts[i]
-					wide.Add(int(cs.rank[u]))
-					ids = append(ids, g.ids[u])
+					sc.idBuf = append(sc.idBuf, g.ids[u])
+					sc.rankBuf = append(sc.rankBuf, cs.rank[u])
 					return true
 				})
-				out.ids = append(out.ids, ids)
-				out.cliques = append(out.cliques, wide)
+				sc.ends = append(sc.ends, len(sc.idBuf))
 			})
 			sc.put(x)
 			sc.put(p)
@@ -280,7 +263,19 @@ func (g *Graph) MaximalMotionsOfComponent(c int, cs *Components) ([][]int, []*se
 			sc.verts = nverts[:0]
 		}
 	}
+	out := motionFamily{
+		ids:   make([][]int, len(sc.ends)),
+		ranks: make([]sets.Sorted, len(sc.ends)),
+	}
+	idSlab := append([]int(nil), sc.idBuf...)
+	rankSlab := append(sets.Sorted(nil), sc.rankBuf...)
+	lo := 0
+	for i, hi := range sc.ends {
+		out.ids[i] = idSlab[lo:hi:hi]
+		out.ranks[i] = rankSlab[lo:hi:hi]
+		lo = hi
+	}
 	g.putScratch(sc)
 	sortMotionFamily(&out)
-	return out.ids, out.cliques
+	return out.ids, out.ranks
 }

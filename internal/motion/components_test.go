@@ -1,6 +1,7 @@
 package motion
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -107,10 +108,71 @@ func TestWholeGraphComponent(t *testing.T) {
 	}
 }
 
+// MaximalMotionsContainingIn is the per-device reference for the
+// component enumeration: MaximalMotionsContaining(j) with every motion
+// also projected into the component-rank space of j's component under
+// cs. Every member of a motion containing j shares j's component, so
+// the projection loses nothing.
+func (g *Graph) MaximalMotionsContainingIn(j int, cs *Components) ([][]int, []sets.Sorted) {
+	ids := g.MaximalMotionsContaining(j)
+	ranks := make([]sets.Sorted, len(ids))
+	for i, mo := range ids {
+		for _, id := range mo {
+			li, _ := g.Local(id)
+			ranks[i] = append(ranks[i], cs.rank[li])
+		}
+	}
+	return ids, ranks
+}
+
+// AppendIds appends the device ids of the component-rank list ranks of
+// component c to dst, in increasing id order, and returns the extended
+// slice.
+func (cs *Components) AppendIds(ranks sets.Sorted, c int, dst []int) []int {
+	verts := cs.Verts(c)
+	for _, r := range ranks {
+		dst = append(dst, cs.g.ids[verts[r]])
+	}
+	return dst // ranks follow sorted vertex order, so ids come out sorted
+}
+
+// checkRankLists fails unless every rank list of component c is sorted,
+// inside the component's rank space, and names exactly the devices of
+// the id list reported beside it.
+func checkRankLists(t *testing.T, label string, cs *Components, c int, moIds [][]int, moRanks []sets.Sorted) {
+	t.Helper()
+	if len(moIds) != len(moRanks) {
+		t.Fatalf("%s: %d id lists but %d rank lists", label, len(moIds), len(moRanks))
+	}
+	for mi, ranks := range moRanks {
+		for k, r := range ranks {
+			if r < 0 || int(r) >= cs.Size(c) || (k > 0 && ranks[k-1] >= r) {
+				t.Fatalf("%s: motion %d rank list %v malformed for a %d-member component", label, mi, ranks, cs.Size(c))
+			}
+		}
+		if back := cs.AppendIds(ranks, c, nil); !reflect.DeepEqual(back, moIds[mi]) {
+			t.Fatalf("%s: motion %d rank list names %v, id list %v", label, mi, back, moIds[mi])
+		}
+	}
+}
+
+// familyOf filters a component family down to the motions whose rank
+// lists contain rank.
+func familyOf(moIds [][]int, moRanks []sets.Sorted, rank int) ([][]int, []sets.Sorted) {
+	var ids [][]int
+	var ranks []sets.Sorted
+	for mi := range moIds {
+		if moRanks[mi].Has(int32(rank)) {
+			ids = append(ids, moIds[mi])
+			ranks = append(ranks, moRanks[mi])
+		}
+	}
+	return ids, ranks
+}
+
 // TestMaximalMotionsOfComponentMatchesPerDevice: the one-shot component
 // enumeration must serve every member exactly the family the per-device
-// enumeration reports — same id sets, same order, same projected
-// bitsets.
+// enumeration reports — same id sets, same order, same rank lists.
 func TestMaximalMotionsOfComponentMatchesPerDevice(t *testing.T) {
 	t.Parallel()
 
@@ -122,31 +184,24 @@ func TestMaximalMotionsOfComponentMatchesPerDevice(t *testing.T) {
 		g := NewGraph(pair, allIds(n), r)
 		cs := g.Components()
 		for c := 0; c < cs.Count(); c++ {
-			moIds, moBits := g.MaximalMotionsOfComponent(c, cs)
+			moIds, moRanks := g.MaximalMotionsOfComponent(c, cs)
 			for _, mo := range moIds {
 				if !g.IsClique(mo) {
 					t.Fatalf("trial %d: reported non-clique %v", trial, mo)
 				}
 			}
+			checkRankLists(t, fmt.Sprintf("trial %d component %d", trial, c), cs, c, moIds, moRanks)
 			for i, v := range cs.Verts(c) {
 				id := g.IDOf(int(v))
-				wantIds, wantBits := g.MaximalMotionsContainingIn(id, cs)
-				var gotIds [][]int
-				var gotBits []*sets.Bits
-				for mi := range moIds {
-					if moBits[mi].Has(i) {
-						gotIds = append(gotIds, moIds[mi])
-						gotBits = append(gotBits, moBits[mi])
-					}
-				}
+				wantIds, wantRanks := g.MaximalMotionsContainingIn(id, cs)
+				gotIds, gotRanks := familyOf(moIds, moRanks, i)
 				if !reflect.DeepEqual(gotIds, wantIds) {
 					t.Fatalf("trial %d device %d: component family %v != per-device %v",
 						trial, id, gotIds, wantIds)
 				}
-				for mi := range gotBits {
-					if !gotBits[mi].Equal(wantBits[mi]) || gotBits[mi].Universe() != wantBits[mi].Universe() {
-						t.Fatalf("trial %d device %d: motion bitset %d differs", trial, id, mi)
-					}
+				if !reflect.DeepEqual(gotRanks, wantRanks) {
+					t.Fatalf("trial %d device %d: component rank lists %v != per-device %v",
+						trial, id, gotRanks, wantRanks)
 				}
 			}
 		}
@@ -200,10 +255,11 @@ func TestMaximalMotionsOfComponentDenseOversized(t *testing.T) {
 	if cs.Count() != 1 || cs.Size(0) != n {
 		t.Fatalf("fixture split into %d components", cs.Count())
 	}
-	moIds, moBits := g.MaximalMotionsOfComponent(0, cs)
+	moIds, moRanks := g.MaximalMotionsOfComponent(0, cs)
 	if len(moIds) != 2 {
 		t.Fatalf("%d maximal motions, want the 2 overlapping group pairs", len(moIds))
 	}
+	checkRankLists(t, "dense oversized", cs, 0, moIds, moRanks)
 	for mi, lo := range []int{0, group} {
 		mo := moIds[mi]
 		if len(mo) != 2*group || mo[0] != lo || mo[len(mo)-1] != lo+2*group-1 {
@@ -213,32 +269,23 @@ func TestMaximalMotionsOfComponentDenseOversized(t *testing.T) {
 		if !g.IsClique(mo) {
 			t.Fatalf("motion %d is not a clique", mi)
 		}
-		b := moBits[mi]
-		if b.Universe() != n || b.Len() != 2*group || !b.Has(lo) || !b.Has(lo+2*group-1) {
-			t.Fatalf("motion %d bitset malformed", mi)
+		rk := moRanks[mi]
+		if len(rk) != 2*group || rk[0] != int32(lo) || rk[len(rk)-1] != int32(lo+2*group-1) {
+			t.Fatalf("motion %d rank list malformed", mi)
 		}
 	}
 	// The component family must serve each member exactly its per-device
 	// family: a group-0 device (first motion only), a shared group-1
 	// device (both), and a group-2 device (second only).
 	for _, id := range []int{0, n / 2, n - 1} {
-		wantIds, wantBits := g.MaximalMotionsContainingIn(id, cs)
-		var gotIds [][]int
-		var gotBits []*sets.Bits
+		wantIds, wantRanks := g.MaximalMotionsContainingIn(id, cs)
 		li, _ := g.Local(id)
-		for mi := range moIds {
-			if moBits[mi].Has(cs.Rank(li)) {
-				gotIds = append(gotIds, moIds[mi])
-				gotBits = append(gotBits, moBits[mi])
-			}
-		}
+		gotIds, gotRanks := familyOf(moIds, moRanks, cs.Rank(li))
 		if !reflect.DeepEqual(gotIds, wantIds) {
 			t.Fatalf("device %d: component family differs from per-device family", id)
 		}
-		for mi := range gotBits {
-			if !gotBits[mi].Equal(wantBits[mi]) || gotBits[mi].Universe() != wantBits[mi].Universe() {
-				t.Fatalf("device %d: motion bitset %d differs", id, mi)
-			}
+		if !reflect.DeepEqual(gotRanks, wantRanks) {
+			t.Fatalf("device %d: component rank lists differ from per-device rank lists", id)
 		}
 	}
 }
@@ -286,16 +333,17 @@ func TestMaximalMotionsOfComponentAnchored(t *testing.T) {
 	if cs.Count() != 1 || cs.Size(0) != n {
 		t.Fatalf("chain split into %d components", cs.Count())
 	}
-	moIds, moBits := g.MaximalMotionsOfComponent(0, cs)
+	moIds, moRanks := g.MaximalMotionsOfComponent(0, cs)
 	if len(moIds) != n-1 {
 		t.Fatalf("%d maximal motions, want %d consecutive pairs", len(moIds), n-1)
 	}
+	checkRankLists(t, "anchored chain", cs, 0, moIds, moRanks)
 	for i, mo := range moIds {
 		if len(mo) != 2 || mo[0] != i || mo[1] != i+1 {
 			t.Fatalf("motion %d = %v, want [%d %d]", i, mo, i, i+1)
 		}
-		if moBits[i].Universe() != n || !moBits[i].Has(i) || !moBits[i].Has(i+1) || moBits[i].Len() != 2 {
-			t.Fatalf("motion %d bitset %v malformed", i, moBits[i])
+		if rk := moRanks[i]; len(rk) != 2 || rk[0] != int32(i) || rk[1] != int32(i+1) {
+			t.Fatalf("motion %d rank list %v malformed", i, rk)
 		}
 	}
 }

@@ -428,50 +428,15 @@ func (g *Graph) MaximalMotions() [][]int {
 // neighbourhood coincides with maximality in the full graph. Returns nil
 // when j is not a vertex.
 func (g *Graph) MaximalMotionsContaining(j int) [][]int {
-	ids, _ := g.MaximalMotionsContainingSets(j)
-	return ids
-}
-
-// MaximalMotionsContainingSets is MaximalMotionsContaining returning
-// each motion in both representations: sorted device ids and the
-// local-index bitset the enumeration produced. Element i of both slices
-// describes the same motion; callers on the characterization hot path
-// keep the bitsets so set algebra over motions needs no id translation.
-// The bitsets are over graph-local indices 0..Len()-1 in both adjacency
-// modes — in sparse mode the enumeration itself runs over j's densified
-// neighbourhood subgraph and only the reported cliques are widened.
-func (g *Graph) MaximalMotionsContainingSets(j int) ([][]int, []*sets.Bits) {
-	return g.maximalMotionsContainingProj(j, len(g.ids), nil)
-}
-
-// MaximalMotionsContainingIn is MaximalMotionsContainingSets with the
-// bitsets projected into the component-local index space of j's
-// connected component under cs: bit i of a motion is rank i within the
-// component's sorted member list, and the universe is the component
-// size. Every member of a motion containing j shares j's component, so
-// the projection loses nothing — it shrinks each bitset from O(Len/64)
-// words to O(|component|/64), which is what keeps adversarial
-// all-abnormal windows linear in total component mass instead of
-// quadratic in the vertex count.
-func (g *Graph) MaximalMotionsContainingIn(j int, cs *Components) ([][]int, []*sets.Bits) {
 	lj, ok := g.Local(j)
 	if !ok {
-		return nil, nil
-	}
-	return g.maximalMotionsContainingProj(j, cs.Size(cs.Of(lj)), cs.rank)
-}
-
-// maximalMotionsContainingProj enumerates W(j) with the reported
-// cliques projected through rank into bitsets over [0, universe); a nil
-// rank is the identity projection over the graph-local universe.
-func (g *Graph) maximalMotionsContainingProj(j, universe int, rank []int32) ([][]int, []*sets.Bits) {
-	lj, ok := g.Local(j)
-	if !ok {
-		return nil, nil
+		return nil
 	}
 	var out motionFamily
 	sc := g.getScratch()
 	if g.Sparse() {
+		// Enumerate inside j's densified closed neighbourhood: sub-index
+		// i is verts[i] graph-locally, so ids come out ascending.
 		verts := g.row(lj).InsertInto(int32(lj), sc.verts[:0])
 		sub := g.densify(sc, verts)
 		pos := searchSorted(verts, int32(lj))
@@ -482,23 +447,12 @@ func (g *Graph) maximalMotionsContainingProj(j, universe int, rank []int32) ([][
 		p.CopyFrom(sub[pos])
 		x := sc.lease(s)
 		bkOver(sub, r, p, x, sc, func(clique *sets.Bits) {
-			// Widen the clique from sub-indices straight into the target
-			// universe, collecting ids on the way: sub-index i is verts[i]
-			// graph-locally, whose rank and id both follow ascending order.
-			wide := sets.NewBits(universe)
 			ids := make([]int, 0, clique.Len())
 			clique.ForEach(func(i int) bool {
-				v := verts[i]
-				if rank != nil {
-					wide.Add(int(rank[v]))
-				} else {
-					wide.Add(int(v))
-				}
-				ids = append(ids, g.ids[v])
+				ids = append(ids, g.ids[verts[i]])
 				return true
 			})
 			out.ids = append(out.ids, ids)
-			out.cliques = append(out.cliques, wide)
 		})
 		sc.put(x)
 		sc.put(p)
@@ -506,31 +460,27 @@ func (g *Graph) maximalMotionsContainingProj(j, universe int, rank []int32) ([][
 		sc.verts = verts[:0]
 	} else {
 		m := len(g.ids)
-		r := sets.NewBits(m)
+		r := sc.lease(m)
 		r.Add(lj)
-		p := g.adj[lj].Clone()
-		x := sets.NewBits(m)
+		p := sc.get(g.adj[lj])
+		x := sc.lease(m)
 		bkOver(g.adj, r, p, x, sc, func(clique *sets.Bits) {
 			out.ids = append(out.ids, g.toIds(clique))
-			if rank != nil {
-				wide := sets.NewBits(universe)
-				clique.ProjectInto(wide, rank)
-				out.cliques = append(out.cliques, wide)
-			} else {
-				out.cliques = append(out.cliques, clique)
-			}
 		})
+		sc.put(x)
+		sc.put(p)
+		sc.put(r)
 	}
 	g.putScratch(sc)
 	sortMotionFamily(&out)
-	return out.ids, out.cliques
+	return out.ids
 }
 
-// sortMotionFamily sorts both motion representations together, in the id
-// sets' lexicographic order (the deterministic order SortSets
-// establishes). Families are typically a handful of motions; insertion
-// sort keeps the common case allocation-free (sort.Sort would
-// heap-allocate the interface).
+// sortMotionFamily sorts a motion family in the id sets' lexicographic
+// order (the deterministic order SortSets establishes), carrying the
+// rank lists along when present. Families are typically a handful of
+// motions; insertion sort keeps the common case allocation-free
+// (sort.Sort would heap-allocate the interface).
 func sortMotionFamily(out *motionFamily) {
 	if len(out.ids) > 32 {
 		sort.Sort(out)
@@ -558,12 +508,13 @@ func searchSorted(s sets.Sorted, v int32) int {
 	return lo
 }
 
-// motionFamily sorts the two motion representations in lockstep, by the
-// id sets' lexicographic order (shorter first on ties of the common
-// prefix — the comparator of sets.SortSets).
+// motionFamily sorts motions as sorted device-id sets, by their
+// lexicographic order (shorter first on ties of the common prefix — the
+// comparator of sets.SortSets), with the matching component-rank lists
+// (nil when the caller wants ids only) swapped in lockstep.
 type motionFamily struct {
-	ids     [][]int
-	cliques []*sets.Bits
+	ids   [][]int
+	ranks []sets.Sorted
 }
 
 func (f *motionFamily) Len() int { return len(f.ids) }
@@ -580,7 +531,9 @@ func (f *motionFamily) Less(i, j int) bool {
 
 func (f *motionFamily) Swap(i, j int) {
 	f.ids[i], f.ids[j] = f.ids[j], f.ids[i]
-	f.cliques[i], f.cliques[j] = f.cliques[j], f.cliques[i]
+	if f.ranks != nil {
+		f.ranks[i], f.ranks[j] = f.ranks[j], f.ranks[i]
+	}
 }
 
 // HasDenseMotionContaining reports whether some τ-dense motion containing
@@ -676,10 +629,10 @@ func (g *Graph) bronKerbosch(report func(*sets.Bits)) {
 // buffers of one enumeration's recursion — the dominant garbage of the
 // characterization hot path before pooling. Each top-level enumeration
 // owns its scratch, so concurrent enumerations over a shared graph
-// (CharacterizeAllParallel phase 1) never share state. Only the
-// reported cliques escape the enumeration. The free-listed bitsets are
-// resized on lease, so one scratch serves the full graph universe and
-// the per-vertex sub-universes of the sparse enumeration alike.
+// (CharacterizeAllParallel phase 1) never share state. Only copies of
+// the reported cliques escape the enumeration. The free-listed bitsets
+// are resized on lease, so one scratch serves the full graph universe
+// and the per-vertex sub-universes of the sparse enumeration alike.
 type bkScratch struct {
 	free []*sets.Bits
 	ints [][]int
@@ -688,6 +641,15 @@ type bkScratch struct {
 	verts sets.Sorted
 	locs  sets.Sorted
 	sub   []*sets.Bits
+	// pos maps a graph-local vertex to 1 + its sub-index while densify
+	// builds a subgraph over it, and to 0 otherwise (sparse mode only).
+	pos []int32
+	// idBuf/rankBuf/ends stage a component family's motions back to back
+	// (motion i ends at ends[i]) until MaximalMotionsOfComponent copies
+	// them into exact-size slabs.
+	idBuf   []int
+	rankBuf sets.Sorted
+	ends    []int
 }
 
 func (s *bkScratch) get(src *sets.Bits) *sets.Bits {
@@ -732,22 +694,33 @@ func (s *bkScratch) putInts(buf []int) { s.ints = append(s.ints, buf) }
 // row indices. p and x are consumed by the call. Dense graphs pass their
 // full adjacency; the sparse enumeration passes a densified
 // neighbourhood subgraph, so the recursion is word operations in both
-// modes.
+// modes. report receives the live clique r: it must copy out what it
+// keeps and must not retain or modify the set.
 func bkOver(adj []*sets.Bits, r, p, x *sets.Bits, sc *bkScratch, report func(*sets.Bits)) {
 	if p.Empty() && x.Empty() {
-		report(r.Clone())
+		report(r)
 		return
 	}
-	// Choose the pivot u in p ∪ x maximizing |p ∩ N(u)|.
+	// Choose the pivot u in p ∪ x maximizing |p ∩ N(u)|. No pivot beats
+	// an x vertex adjacent to all of p (no branch) or a vertex adjacent
+	// to all of p but itself (one branch), so the scan stops at the
+	// first such vertex: on a large clique the per-level search costs
+	// one intersection instead of |p|.
 	pivot, best := -1, -1
+	pLen := p.Len()
 	consider := func(u int) bool {
 		if c := p.IntersectionLen(adj[u]); c > best {
 			best, pivot = c, u
 		}
-		return true
+		return best < pLen-1
 	}
-	p.ForEach(consider)
-	x.ForEach(consider)
+	x.ForEach(func(u int) bool {
+		consider(u)
+		return best < pLen
+	})
+	if best < pLen-1 {
+		p.ForEach(consider)
+	}
 
 	cand := sc.get(p)
 	if pivot >= 0 {

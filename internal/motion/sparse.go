@@ -333,7 +333,11 @@ func sortInt32s(s sets.Sorted) { slices.Sort(s) }
 // reusing the scratch's row bitsets. This is the sparse-BK trick: a
 // vertex's clique search only ever looks inside its neighbourhood, so
 // the word-parallel recursion runs over a Δ-sized universe instead of
-// the m-sized one — O(Δ²/64) scratch bits, not O(m²/64).
+// the m-sized one — O(Δ²/64) scratch bits, not O(m²/64). Each member's
+// sub-index is stamped into the scratch's vertex-indexed position array
+// first, so every row is filled by one lookup per neighbour — O(Σ deg)
+// for the whole subgraph rather than a row-against-verts merge per
+// member — and the stamps are wiped again before returning.
 func (g *Graph) densify(sc *bkScratch, verts sets.Sorted) []*sets.Bits {
 	s := len(verts)
 	for len(sc.sub) < s {
@@ -343,9 +347,22 @@ func (g *Graph) densify(sc *bkScratch, verts sets.Sorted) []*sets.Bits {
 	for i := range sub {
 		sub[i].Resize(s)
 	}
+	if len(sc.pos) < len(g.ids) {
+		sc.pos = make([]int32, len(g.ids))
+	}
+	for i, v := range verts {
+		sc.pos[v] = int32(i) + 1
+	}
 	for i, v := range verts {
 		bi := sub[i]
-		g.row(int(v)).IntersectPositions(verts, bi.Add)
+		for _, u := range g.row(int(v)) {
+			if p := sc.pos[u]; p != 0 {
+				bi.Add(int(p - 1))
+			}
+		}
+	}
+	for _, v := range verts {
+		sc.pos[v] = 0
 	}
 	return sub
 }

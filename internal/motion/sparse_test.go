@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"anomalia/internal/sets"
 	"anomalia/internal/stats"
 )
 
@@ -41,10 +42,24 @@ func sameGraph(t *testing.T, label string, rng *stats.RNG, got, want *Graph) {
 	}
 }
 
+// MaximalMotionsContainingSets is MaximalMotionsContaining returning
+// each motion also as a bitset over graph-local indices, resolved
+// through Local (a map, the identity, or a binary search over the ids,
+// depending on the graph's mode and population). Element i of both
+// slices describes the same motion.
+func (g *Graph) MaximalMotionsContainingSets(j int) ([][]int, []*sets.Bits) {
+	ids := g.MaximalMotionsContaining(j)
+	locals := make([]*sets.Bits, len(ids))
+	for i, mo := range ids {
+		locals[i] = g.toLocal(mo)
+	}
+	return ids, locals
+}
+
 // sameMotionFamilies fails unless every motion-enumeration entry point
-// agrees between the two graphs, including the bitset representation of
-// MaximalMotionsContainingSets (which must be over graph-local indices
-// in both adjacency modes).
+// agrees between the two graphs, including the graph-local index form
+// of MaximalMotionsContainingSets (which must round-trip to the same
+// ids in both adjacency modes).
 func sameMotionFamilies(t *testing.T, label string, got, want *Graph) {
 	t.Helper()
 	gm, wm := got.MaximalMotions(), want.MaximalMotions()

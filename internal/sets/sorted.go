@@ -3,13 +3,14 @@ package sets
 // Sorted is an ascending, duplicate-free list of int32 indices — the
 // neighbour-row representation of the sparse motion-graph adjacency
 // (internal/motion stores one Sorted view per vertex into a shared CSR
-// arena). int32 keeps rows at half the footprint of []int while covering
-// every realistic vertex count; the motion graph's local indices are
-// bounded by the device population.
+// arena) and the component-rank representation of a maximal motion
+// (motion.Graph.MaximalMotionsOfComponent). int32 keeps lists at half
+// the footprint of []int while covering every realistic vertex count;
+// the motion graph's local indices are bounded by the device population.
 //
-// A Sorted is a plain slice: rows alias their arena and must be treated
-// as read-only by consumers, mirroring the ownership rule of
-// motion.Graph.Ids.
+// A Sorted is a plain slice: rows and motions alias their arenas and
+// must be treated as read-only by consumers, mirroring the ownership
+// rule of motion.Graph.Ids.
 type Sorted []int32
 
 // Len returns the number of elements.
@@ -56,27 +57,6 @@ func (s Sorted) IntersectInto(o, dst Sorted) Sorted {
 		}
 	}
 	return dst
-}
-
-// IntersectPositions calls fn with the position (index into verts) of
-// every element of verts that is also an element of s, in increasing
-// order — the densification primitive of the sparse clique enumeration:
-// verts is a subgraph's sub-universe and the positions index its dense
-// bitsets.
-func (s Sorted) IntersectPositions(verts Sorted, fn func(pos int)) {
-	i, j := 0, 0
-	for i < len(s) && j < len(verts) {
-		switch {
-		case s[i] < verts[j]:
-			i++
-		case s[i] > verts[j]:
-			j++
-		default:
-			fn(j)
-			i++
-			j++
-		}
-	}
 }
 
 // InsertInto appends the elements of s with v inserted in order to dst

@@ -67,22 +67,6 @@ func TestSortedIntersectInto(t *testing.T) {
 	}
 }
 
-func TestSortedIntersectPositions(t *testing.T) {
-	s := sortedOf(3, 5, 8)
-	verts := sortedOf(1, 3, 5, 7, 8)
-	var pos []int
-	s.IntersectPositions(verts, func(p int) { pos = append(pos, p) })
-	want := []int{1, 2, 4}
-	if len(pos) != len(want) {
-		t.Fatalf("positions %v, want %v", pos, want)
-	}
-	for i := range pos {
-		if pos[i] != want[i] {
-			t.Fatalf("positions %v, want %v", pos, want)
-		}
-	}
-}
-
 func TestSortedInsertInto(t *testing.T) {
 	s := sortedOf(1, 5, 9)
 	for _, tc := range []struct {
