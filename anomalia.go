@@ -501,8 +501,11 @@ func (o *Outcome) addReport(res core.Result) {
 // abnormal device characterizes itself on its fetched 4r view. The cell
 // side is 2r so a view spans at most two cells per axis.
 func characterizeDistributed(pair *motion.Pair, abnormal []int, cfg config) (*Outcome, error) {
-	coreCfg, err := validateDistConfig(pair, cfg)
-	if err != nil {
+	// Validate before the directory build, so a bad radius or tau
+	// surfaces as the error the centralized path reports, not as the
+	// directory's grid-parameter complaint.
+	coreCfg := cfg.coreConfig()
+	if err := coreCfg.Validate(); err != nil {
 		return nil, err
 	}
 	dir, err := dist.NewDirectory(pair, abnormal, cfg.radius)
@@ -510,18 +513,6 @@ func characterizeDistributed(pair *motion.Pair, abnormal []int, cfg config) (*Ou
 		return nil, err
 	}
 	return decideDistributed(dir, coreCfg)
-}
-
-// validateDistConfig validates the characterization config first so a
-// bad radius or tau surfaces as the same error the centralized path
-// reports, not as an internal grid-parameter complaint from the
-// directory build.
-func validateDistConfig(pair *motion.Pair, cfg config) (core.Config, error) {
-	coreCfg := cfg.coreConfig()
-	if _, err := core.New(pair, nil, coreCfg); err != nil {
-		return core.Config{}, err
-	}
-	return coreCfg, nil
 }
 
 // decideDistributed batches a whole window's decisions against a built

@@ -2,7 +2,7 @@
 // directory service: a dirnet.Server holding a full directory replica
 // behind the length-prefixed binary protocol, answering the window
 // stream (init / incremental moved-stream advance) and the decision
-// and view queries a Monitor configured with WithDirectory sends.
+// slices a Monitor configured with WithDirectory asks for.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 package anomalia
 
 import (
+	"math"
 	"testing"
 
 	"anomalia/internal/scenario"
@@ -118,7 +119,7 @@ func TestDistributedErrorParity(t *testing.T) {
 
 	prev := [][]float64{{0.5, 0.5}, {0.6, 0.6}}
 	cur := [][]float64{{0.5, 0.5}, {0.6, 0.6}}
-	for _, opt := range []Option{WithRadius(-0.1), WithRadius(0.25), WithTau(0)} {
+	for _, opt := range []Option{WithRadius(-0.1), WithRadius(0.25), WithRadius(math.NaN()), WithTau(0)} {
 		_, errCentral := Characterize(prev, cur, []int{0}, opt)
 		_, errDist := Characterize(prev, cur, []int{0}, opt, WithDistributed(true))
 		if errCentral == nil || errDist == nil {

@@ -78,7 +78,11 @@
 // format, partitioning each window's decisions contiguously across
 // whichever shards are in sync — a shard that falls out of sync (or
 // crashes and comes back empty) is rebuilt from the full window, so
-// shard failover is a re-sync, not an error.
+// shard failover is a re-sync, not an error. Each shard decides its
+// slice with the same grouped batch as the in-process distributed
+// mode (devices with identical 4r views share one characterizer), so
+// there is one distributed decision path; the wire carries no
+// single-device query.
 //
 // Every request carries a deadline (DirectoryConfig.RequestTimeout);
 // a transport failure is retried up to MaxRetries times with

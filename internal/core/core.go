@@ -117,6 +117,20 @@ type Config struct {
 	Budget int
 }
 
+// Validate checks the configuration on its own, before any window is
+// involved: r must lie in [0, 1/4) and τ must be at least 1. New runs
+// it; callers that decide nothing yet (an empty window) run it to reject
+// a bad configuration all the same.
+func (cfg Config) Validate() error {
+	if err := motion.ValidateRadius(cfg.R); err != nil {
+		return err
+	}
+	if cfg.Tau < 1 {
+		return fmt.Errorf("tau = %d must be >= 1: %w", cfg.Tau, ErrConfig)
+	}
+	return nil
+}
+
 // DefaultBudget bounds the exact-search effort per device.
 const DefaultBudget = 10_000_000
 
@@ -237,11 +251,8 @@ func New(pair *motion.Pair, abnormal []int, cfg Config) (*Characterizer, error) 
 	if pair == nil {
 		return nil, fmt.Errorf("nil pair: %w", ErrConfig)
 	}
-	if err := motion.ValidateRadius(cfg.R); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Tau < 1 {
-		return nil, fmt.Errorf("tau = %d must be >= 1: %w", cfg.Tau, ErrConfig)
 	}
 	ids := sets.Canon(sets.CloneInts(abnormal))
 	for _, id := range ids {

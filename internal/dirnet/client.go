@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,10 +67,12 @@ type Client struct {
 	shards []*shard
 	window uint64 // monotone per-DecideWindow counter (wire seq)
 	// lastGood is the seq of the last window every decision was served
-	// from, and lastRows the prev-rows shipped for it (id → row copy) —
-	// the baseline the next window's moved stream is diffed against.
+	// from; lastIDs and lastPrev are its sorted abnormal ids and the
+	// prev rows shipped for them (len(lastIDs)×d, row-major) — the
+	// baseline the next window's moved stream is diffed against.
 	lastGood uint64
-	lastRows map[int][]float64
+	lastIDs  []int
+	lastPrev []float64
 	rng      *stats.RNG
 	// st accumulates the lifetime wire counters; stMu guards it so a
 	// stats snapshot (Monitor.DirStats, a metrics scrape) can run on
@@ -121,10 +124,9 @@ func NewClient(cfg Config) (*Client, error) {
 		cfg.Sleep = time.Sleep
 	}
 	c := &Client{
-		cfg:      cfg,
-		shards:   make([]*shard, len(cfg.Addrs)),
-		lastRows: make(map[int][]float64),
-		rng:      stats.NewRNG(cfg.Seed),
+		cfg:    cfg,
+		shards: make([]*shard, len(cfg.Addrs)),
+		rng:    stats.NewRNG(cfg.Seed),
 	}
 	for i, addr := range cfg.Addrs {
 		c.shards[i] = &shard{addr: addr}
@@ -168,7 +170,7 @@ func (c *Client) Reset() {
 	}
 	c.window = 0
 	c.lastGood = 0
-	clear(c.lastRows)
+	c.lastIDs, c.lastPrev = c.lastIDs[:0], nil
 }
 
 func (c *Client) dropConn(s *shard) {
@@ -273,14 +275,10 @@ func (c *Client) DecideWindow(pair *motion.Pair, abnormal []int, cfg core.Config
 	}
 
 	// The whole window succeeded: it becomes the moved-diff baseline.
+	// w.prev is this window's own slab, so it is kept, not copied.
 	c.lastGood = seq
-	clear(c.lastRows)
-	d := pair.Dim()
-	for i, id := range abnormal {
-		row := make([]float64, d)
-		copy(row, w.prev[i*d:(i+1)*d])
-		c.lastRows[id] = row
-	}
+	c.lastIDs = append(c.lastIDs[:0], abnormal...)
+	c.lastPrev = w.prev
 	return out, total, nil
 }
 
@@ -318,17 +316,18 @@ func (c *Client) windowMsg(seq uint64, pair *motion.Pair, abnormal []int, r floa
 		prev:    make([]float64, len(abnormal)*d),
 		cur:     make([]float64, len(abnormal)*d),
 	}
+	// Both id lists are sorted, so one merge walk pairs every retained
+	// id with its baseline row.
+	k := 0
 	for i, id := range abnormal {
-		copy(w.prev[i*d:(i+1)*d], pair.Prev.At(id))
+		row := w.prev[i*d : (i+1)*d]
+		copy(row, pair.Prev.At(id))
 		copy(w.cur[i*d:(i+1)*d], pair.Cur.At(id))
-		if old, ok := c.lastRows[id]; ok {
-			row := w.prev[i*d : (i+1)*d]
-			for k := range row {
-				if row[k] != old[k] {
-					w.moved = append(w.moved, id)
-					break
-				}
-			}
+		for k < len(c.lastIDs) && c.lastIDs[k] < id {
+			k++
+		}
+		if k < len(c.lastIDs) && c.lastIDs[k] == id && !slices.Equal(row, c.lastPrev[k*d:(k+1)*d]) {
+			w.moved = append(w.moved, id)
 		}
 	}
 	return w
@@ -401,63 +400,6 @@ func (c *Client) decideRange(s *shard, seq uint64, cfg core.Config, from, to int
 	}
 	s.fails = 0
 	return decs, nil
-}
-
-// View fetches one device's raw 4r view from the first synced shard —
-// the single-device read path (parity and debugging; the Monitor's
-// window flow goes through DecideWindow).
-func (c *Client) View(device int) ([]int, dist.Stats, error) {
-	s := c.syncedShard()
-	if s == nil {
-		return nil, dist.Stats{}, fmt.Errorf("no synced shard: %w", ErrUnavailable)
-	}
-	c.enc = appendDecide(c.enc[:0], msgView, c.lastGood, core.Config{}, device)
-	resp, err := c.request(s, c.enc, 1+c.cfg.MaxRetries)
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	cur := &cursor{b: resp}
-	st := dist.Stats{
-		Messages:     int(cur.u32()),
-		Trajectories: int(cur.u32()),
-		ViewSize:     int(cur.u32()),
-	}
-	view := cur.ids(cur.count(4))
-	if err := cur.err(); err != nil {
-		return nil, dist.Stats{}, err
-	}
-	return view, st, nil
-}
-
-// Decide fetches one device's decision from the first synced shard.
-func (c *Client) Decide(device int, cfg core.Config) (dist.Decision, error) {
-	s := c.syncedShard()
-	if s == nil {
-		return dist.Decision{}, fmt.Errorf("no synced shard: %w", ErrUnavailable)
-	}
-	c.enc = appendDecide(c.enc[:0], msgDecide, c.lastGood, cfg, device)
-	resp, err := c.request(s, c.enc, 1+c.cfg.MaxRetries)
-	if err != nil {
-		return dist.Decision{}, err
-	}
-	cur := &cursor{b: resp}
-	dec := decodeDecision(cur)
-	if err := cur.err(); err != nil {
-		return dist.Decision{}, err
-	}
-	return dec, nil
-}
-
-func (c *Client) syncedShard() *shard {
-	if c.lastGood == 0 {
-		return nil
-	}
-	for _, s := range c.shards {
-		if s.state == brClosed && s.seq == c.lastGood {
-			return s
-		}
-	}
-	return nil
 }
 
 // noteFailure charges one breaker failure to the shard, opening it at

@@ -23,9 +23,9 @@
 //	             incremental-update wire format Advance models
 //	msgDecideAll seq, core config, [from, to) positions into the
 //	             window's sorted abnormal set — the shard's slice of
-//	             the fleet's decisions
-//	msgDecide    seq, core config, one device id
-//	msgView      seq, one device id — the raw 4r view plus its bill
+//	             the fleet's decisions, decided by dist.DecideRange:
+//	             the same grouped batch (one characterizer per
+//	             distinct 4r view) as the in-process path
 //
 // Responses: statusOK followed by the result, statusNeedInit when the
 // server does not hold the window the request assumes (fresh start,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -412,62 +413,6 @@ func TestServerErrorIsNotRetriedAndKeepsBreakerClosed(t *testing.T) {
 	sameDecisions(t, got, want, wantTotal, gotTotal)
 }
 
-func TestSingleDeviceOpsParity(t *testing.T) {
-	addrs := []string{"s0"}
-	pn := newPipeNet(addrs...)
-	c := testClient(t, pn, addrs, nil)
-	g := newWindowGen(t, 150, 2, 13)
-	pair, abnormal := g.next()
-	if _, _, err := c.DecideWindow(pair, abnormal, testCfg); err != nil {
-		t.Fatal(err)
-	}
-	dir, err := dist.NewDirectory(pair, abnormal, testCfg.R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range abnormal[:4] {
-		view, vst, err := c.View(j)
-		if err != nil {
-			t.Fatalf("View(%d): %v", j, err)
-		}
-		wantView, wantSt, err := dir.View(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(view, wantView) || vst != wantSt {
-			t.Fatalf("View(%d) = %v/%+v, want %v/%+v", j, view, vst, wantView, wantSt)
-		}
-		dec, err := c.Decide(j, testCfg)
-		if err != nil {
-			t.Fatalf("Decide(%d): %v", j, err)
-		}
-		wantRes, wantDSt, err := dist.Decide(dir, j, testCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRes.J, wantRes.L = nil, nil
-		if !reflect.DeepEqual(dec, dist.Decision{Result: wantRes, Stats: wantDSt}) {
-			t.Fatalf("Decide(%d) mismatch", j)
-		}
-	}
-	// Unknown device surfaces the server's application error.
-	if _, _, err := c.View(0); err == nil {
-		if sliceContains(abnormal, 0) {
-			t.Skip("0 happened to be abnormal")
-		}
-		t.Fatal("View(non-abnormal) succeeded")
-	}
-}
-
-func sliceContains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 func TestClientResetForcesReinit(t *testing.T) {
 	addrs := []string{"s0"}
 	pn := newPipeNet(addrs...)
@@ -597,6 +542,48 @@ func TestServeOverTCP(t *testing.T) {
 // the wire as msgAdvance with a moved list, not full re-inits: the
 // servers' directories survive (their seq trails the client's without
 // resets) and stay verdict-identical.
+// TestWindowMovedStream: the moved stream a window ships is exactly the
+// ids abnormal in both the last good window and this one whose k-1 row
+// changed between them.
+func TestWindowMovedStream(t *testing.T) {
+	addrs := []string{"s0"}
+	pn := newPipeNet(addrs...)
+	c := testClient(t, pn, addrs, nil)
+	g := newWindowGen(t, 200, 2, 17)
+	lastPair, lastAbn := g.next()
+	if _, _, err := c.DecideWindow(lastPair, lastAbn, testCfg); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 4; w++ {
+		pair, fresh := g.next()
+		// Keep all but the first retained id, so the walk sees ids that
+		// left, stayed and joined.
+		abnormal := slices.Clone(lastAbn[1:])
+		for _, id := range fresh {
+			if !slices.Contains(abnormal, id) {
+				abnormal = append(abnormal, id)
+			}
+		}
+		slices.Sort(abnormal)
+		var want []int
+		for _, id := range abnormal {
+			if slices.Contains(lastAbn, id) && !slices.Equal(pair.Prev.At(id), lastPair.Prev.At(id)) {
+				want = append(want, id)
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("window %d: no retained id moved; the check would be vacuous", w)
+		}
+		if got := c.windowMsg(0, pair, abnormal, testCfg.R).moved; !slices.Equal(got, want) {
+			t.Fatalf("window %d: moved %v, want %v", w, got, want)
+		}
+		if _, _, err := c.DecideWindow(pair, abnormal, testCfg); err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		lastPair, lastAbn = pair, abnormal
+	}
+}
+
 func TestMovedStreamDrivesAdvance(t *testing.T) {
 	addrs := []string{"s0"}
 	pn := newPipeNet(addrs...)

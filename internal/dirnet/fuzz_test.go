@@ -2,6 +2,7 @@ package dirnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -129,4 +130,107 @@ func TestWireSeedsRoundTrip(t *testing.T) {
 			t.Errorf("seed %d: no decoder accepted it", i)
 		}
 	}
+}
+
+// heldWindow is the window FuzzServerRespond's server holds (seq 1): a
+// tight cluster of five abnormal devices plus two loners.
+var heldWindow = windowMsg{
+	seq: 1, r: 0.05, n: 20, d: 2,
+	ids: []int{2, 3, 4, 5, 6, 11, 17},
+	prev: []float64{
+		0.30, 0.30, 0.31, 0.30, 0.30, 0.31, 0.32, 0.31, 0.31, 0.32,
+		0.70, 0.10, 0.90, 0.90,
+	},
+	cur: []float64{
+		0.50, 0.50, 0.51, 0.50, 0.50, 0.51, 0.52, 0.51, 0.51, 0.52,
+		0.20, 0.60, 0.90, 0.80,
+	},
+}
+
+// checkRespond feeds one request payload to a server holding heldWindow.
+// respond must not panic and must produce exactly one status-led
+// response; an OK window response has an empty body, and an OK
+// decide-all response decodes to exactly to-from decisions.
+func checkRespond(t *testing.T, payload []byte) {
+	// A window request makes the server rebuild n-row states, so its cost
+	// follows the declared population; keep the fuzzed ones small.
+	if len(payload) >= 29 && (payload[0] == msgInit || payload[0] == msgAdvance) &&
+		binary.LittleEndian.Uint32(payload[25:]) > 1<<12 {
+		t.Skip("declared population too large to rebuild in a fuzz run")
+	}
+	s := NewServer()
+	if out := s.respond(nil, appendWindow(nil, msgInit, heldWindow)); !bytes.Equal(out, []byte{statusOK}) {
+		t.Fatalf("seeding the held window: response %x", out)
+	}
+	out := s.respond(nil, payload)
+	body, err := decodeStatus(out)
+	var se *serverError
+	switch {
+	case err == errNeedInit:
+		if len(out) != 1 {
+			t.Fatalf("need-init response carries %d trailing bytes", len(out)-1)
+		}
+		return
+	case errors.As(err, &se):
+		return
+	case err != nil:
+		t.Fatalf("malformed response %x: %v", out, err)
+	}
+	switch payload[0] {
+	case msgInit, msgAdvance:
+		if len(body) != 0 {
+			t.Fatalf("window response carries %d bytes", len(body))
+		}
+	case msgDecideAll:
+		req := &cursor{b: payload, off: 1}
+		req.u64()
+		decodeConfig(req)
+		from, to := int(req.u32()), int(req.u32())
+		c := &cursor{b: body}
+		n := c.count(1)
+		for i := 0; i < n && !c.bad; i++ {
+			decodeDecision(c)
+		}
+		if err := c.err(); err != nil || n != to-from {
+			t.Fatalf("decide-all [%d, %d) answered %d decisions (%v)", from, to, n, err)
+		}
+	default:
+		t.Fatalf("message type %#x answered OK", payload[0])
+	}
+}
+
+// FuzzServerRespond feeds arbitrary request payloads to Server.respond
+// (see checkRespond), seeded with the requests a client sends and a few
+// the server must reject: a NaN radius, out-of-range and reversed
+// decide ranges, a stale window and an invalid config.
+func FuzzServerRespond(f *testing.F) {
+	cfg := core.Config{R: 0.05, Tau: 3, Exact: true}
+	m := len(heldWindow.ids)
+	next := heldWindow
+	next.seq, next.prevSeq, next.moved = 2, 1, []int{3, 6}
+	nan := heldWindow
+	nan.r = math.NaN()
+	nanCfg := cfg
+	nanCfg.R = math.NaN()
+	for _, p := range [][]byte{
+		appendWindow(nil, msgInit, heldWindow),
+		appendWindow(nil, msgAdvance, next),
+		appendWindow(nil, msgInit, nan),
+		appendWindow(nil, msgAdvance, windowMsg{seq: 9, prevSeq: 8, r: 0.05, n: 20, d: 2}),
+		appendDecideAll(nil, 1, cfg, 0, m),
+		appendDecideAll(nil, 1, cfg, 2, 5),
+		appendDecideAll(nil, 1, cfg, 3, 3),
+		appendDecideAll(nil, 1, cfg, 0, m+1),
+		appendDecideAll(nil, 1, cfg, 5, 2),
+		appendDecideAll(nil, 1, nanCfg, 0, m),
+		appendDecideAll(nil, 1, core.Config{R: 0.05}, 0, m),
+		appendDecideAll(nil, 7, cfg, 0, m),
+		{},
+		{0x7f},
+	} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkRespond(t, payload)
+	})
 }

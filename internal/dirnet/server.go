@@ -18,7 +18,8 @@ import (
 // window's abnormal trajectories from the wire (sparse n-row states —
 // only abnormal rows are ever read by the decision path), keeps the
 // dist.Directory alive across windows so msgAdvance patches instead of
-// rebuilding, and answers decision and view queries against it.
+// rebuilding, and answers msgDecideAll with its slice of the window's
+// decisions, decided by the same grouped batch as the in-process path.
 //
 // A server that restarts — or that never saw the client's last window
 // — answers statusNeedInit, and the client re-seeds it with msgInit:
@@ -192,10 +193,6 @@ func (s *Server) respond(out, payload []byte) []byte {
 		return s.respondWindow(out, payload[0], c)
 	case msgDecideAll:
 		return s.respondDecideAll(out, c)
-	case msgDecide:
-		return s.respondDecide(out, c)
-	case msgView:
-		return s.respondView(out, c)
 	default:
 		return appendErr(out, fmt.Errorf("unknown message type %#x", payload[0]))
 	}
@@ -279,7 +276,8 @@ func (s *Server) window(seq uint64) *dist.Directory {
 }
 
 // respondDecideAll serves the shard's slice of the fleet's decisions:
-// positions [from, to) of the window's sorted abnormal set.
+// positions [from, to) of the window's sorted abnormal set, decided by
+// the same grouped batch as the in-process path (dist.DecideRange).
 func (s *Server) respondDecideAll(out []byte, c *cursor) []byte {
 	var m decideMsg
 	m.seq = c.u64()
@@ -293,68 +291,14 @@ func (s *Server) respondDecideAll(out []byte, c *cursor) []byte {
 	if dir == nil {
 		return append(out, statusNeedInit)
 	}
-	abnormal := dir.Abnormal()
-	if m.from < 0 || m.to < m.from || m.to > len(abnormal) {
-		return appendErr(out, fmt.Errorf("decide range [%d, %d) over %d abnormal devices", m.from, m.to, len(abnormal)))
-	}
-	start := len(out)
-	out = append(out, statusOK)
-	out = appendU32(out, uint32(m.to-m.from))
-	for _, j := range abnormal[m.from:m.to] {
-		dec, st, err := dist.Decide(dir, j, m.cfg)
-		if err != nil {
-			// Discard the partial response: an error mid-slice becomes one
-			// whole statusErr frame.
-			return appendErr(out[:start], err)
-		}
-		out = appendDecision(out, dist.Decision{Result: dec, Stats: st})
-	}
-	return out
-}
-
-// respondDecide serves one device's decision.
-func (s *Server) respondDecide(out []byte, c *cursor) []byte {
-	var m decideMsg
-	m.seq = c.u64()
-	m.cfg = decodeConfig(c)
-	m.device = int(c.u32())
-	if err := c.err(); err != nil {
-		return appendErr(out, err)
-	}
-	dir := s.window(m.seq)
-	if dir == nil {
-		return append(out, statusNeedInit)
-	}
-	res, st, err := dist.Decide(dir, m.device, m.cfg)
+	decs, _, err := dist.DecideRange(dir, m.cfg, m.from, m.to)
 	if err != nil {
 		return appendErr(out, err)
 	}
 	out = append(out, statusOK)
-	return appendDecision(out, dist.Decision{Result: res, Stats: st})
-}
-
-// respondView serves one device's raw 4r view plus its billed stats.
-func (s *Server) respondView(out []byte, c *cursor) []byte {
-	seq := c.u64()
-	device := int(c.u32())
-	if err := c.err(); err != nil {
-		return appendErr(out, err)
-	}
-	dir := s.window(seq)
-	if dir == nil {
-		return append(out, statusNeedInit)
-	}
-	view, st, err := dir.View(device)
-	if err != nil {
-		return appendErr(out, err)
-	}
-	out = append(out, statusOK)
-	out = appendU32(out, uint32(st.Messages))
-	out = appendU32(out, uint32(st.Trajectories))
-	out = appendU32(out, uint32(st.ViewSize))
-	out = appendU32(out, uint32(len(view)))
-	for _, id := range view {
-		out = appendU32(out, uint32(id))
+	out = appendU32(out, uint32(len(decs)))
+	for _, dec := range decs {
+		out = appendDecision(out, dec)
 	}
 	return out
 }

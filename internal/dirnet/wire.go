@@ -21,8 +21,6 @@ const (
 	msgInit byte = iota + 1
 	msgAdvance
 	msgDecideAll
-	msgDecide
-	msgView
 )
 
 // Response status bytes.
@@ -228,12 +226,11 @@ func decodeWindow(c *cursor) (windowMsg, error) {
 	return w, c.err()
 }
 
-// decideMsg is the decoded body of msgDecideAll / msgDecide.
+// decideMsg is the decoded body of msgDecideAll.
 type decideMsg struct {
 	seq      uint64
 	cfg      core.Config
-	from, to int // msgDecideAll: positions into the sorted abnormal set
-	device   int // msgDecide / msgView: device id
+	from, to int // positions into the sorted abnormal set
 }
 
 func appendConfig(b []byte, cfg core.Config) []byte {
@@ -262,15 +259,6 @@ func appendDecideAll(b []byte, seq uint64, cfg core.Config, from, to int) []byte
 	b = appendConfig(b, cfg)
 	b = appendU32(b, uint32(from))
 	return appendU32(b, uint32(to))
-}
-
-func appendDecide(b []byte, typ byte, seq uint64, cfg core.Config, device int) []byte {
-	b = append(b, typ)
-	b = appendU64(b, seq)
-	if typ == msgDecide {
-		b = appendConfig(b, cfg)
-	}
-	return appendU32(b, uint32(device))
 }
 
 // appendDecision encodes one decision: the verdict fields an Outcome

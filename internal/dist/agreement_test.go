@@ -1,10 +1,14 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"anomalia/internal/core"
+	"anomalia/internal/paperfig"
 	"anomalia/internal/scenario"
 )
 
@@ -154,6 +158,114 @@ func TestDecideAllEmpty(t *testing.T) {
 	}
 	if _, _, err := DecideAll(dir, core.Config{R: 0.5, Tau: 1}); err == nil {
 		t.Error("empty window must still reject r = 0.5")
+	}
+}
+
+// TestDecideRangeSplits: every split of a window into at most four
+// contiguous ranges (empty ones included) decides exactly DecideAll's
+// slices, so a shard fleet's merged answer equals the in-process batch
+// however the window is cut. Out-of-window ranges are rejected with
+// ErrConfig, and a bad config is rejected even on an empty range.
+func TestDecideRangeSplits(t *testing.T) {
+	t.Parallel()
+
+	const r = 0.03
+	coreCfg := core.Config{R: r, Tau: 3, Exact: true}
+	step := genWindow(t, scenario.Config{
+		N: 200, D: 2, R: r, Tau: 3, A: 6, G: 0.3,
+		Concomitant: true, MaxShift: 2 * r, Seed: 8,
+	})
+	dir, err := NewDirectory(step.Pair, step.Abnormal, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantTotal, err := DecideAll(dir, coreCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := len(want)
+	if m < 8 {
+		t.Fatalf("window has %d abnormal devices, want a few groups' worth", m)
+	}
+	for a := 0; a <= m; a++ {
+		for b := a; b <= m; b++ {
+			for c := b; c <= m; c++ {
+				var got []Decision
+				var total Stats
+				for _, rg := range [][2]int{{0, a}, {a, b}, {b, c}, {c, m}} {
+					decs, st, err := DecideRange(dir, coreCfg, rg[0], rg[1])
+					if err != nil {
+						t.Fatalf("range %v: %v", rg, err)
+					}
+					got = append(got, decs...)
+					total.Add(st)
+				}
+				if !reflect.DeepEqual(got, want) || total != wantTotal {
+					t.Fatalf("split at %d/%d/%d differs from DecideAll", a, b, c)
+				}
+			}
+		}
+	}
+	for _, rg := range [][2]int{{-1, 1}, {0, m + 1}, {2, 1}} {
+		if _, _, err := DecideRange(dir, coreCfg, rg[0], rg[1]); !errors.Is(err, ErrConfig) {
+			t.Errorf("range %v: err = %v, want ErrConfig", rg, err)
+		}
+	}
+	if _, _, err := DecideRange(dir, core.Config{R: r, Tau: 0}, 1, 1); !errors.Is(err, core.ErrConfig) {
+		t.Errorf("tau = 0 on an empty range: err = %v, want core.ErrConfig", err)
+	}
+}
+
+// TestDecideAllNamesLowestFailure: when several view groups fail (three
+// far-apart copies of the paper's Figure 5, where only the Theorem 7
+// search decides, under a budget of one node), DecideAll must name the
+// lowest failing device on every run, whichever worker fails first.
+func TestDecideAllNamesLowestFailure(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+
+	fig, err := paperfig.Figure5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The copies sit 0.45 apart on the second axis, beyond the 4r = 0.4
+	// view radius, so each forms its own view group.
+	var prev, cur [][]float64
+	for _, y := range []float64{0.05, 0.5, 0.95} {
+		for i := 0; i < fig.Pair.N(); i++ {
+			prev = append(prev, []float64{fig.Pair.Prev.At(i)[0], y})
+			cur = append(cur, []float64{fig.Pair.Cur.At(i)[0], y})
+		}
+	}
+	pair := pairOf(t, prev, cur)
+	abnormal := make([]int, pair.N())
+	for i := range abnormal {
+		abnormal[i] = i
+	}
+	dir, err := NewDirectory(pair, abnormal, fig.R)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{R: fig.R, Tau: fig.Tau, Exact: true, Budget: 1}
+
+	// Reference: the first device in order whose own decision fails.
+	var want string
+	failing := map[int]bool{}
+	for _, j := range abnormal {
+		if _, _, err := Decide(dir, j, cfg); err != nil {
+			if want == "" {
+				want = fmt.Errorf("device %d: %w", j, err).Error()
+			}
+			failing[j/fig.Pair.N()] = true
+		}
+	}
+	if len(failing) < 2 {
+		t.Fatalf("failures in %d copies, want several failing groups", len(failing))
+	}
+	for run := 0; run < 50; run++ {
+		_, _, err := DecideAll(dir, cfg)
+		if !errors.Is(err, core.ErrBudget) || err.Error() != want {
+			t.Fatalf("run %d: err = %v, want %q", run, err, want)
+		}
 	}
 }
 

@@ -66,30 +66,46 @@ type Decision struct {
 // back in device order with the summed Stats; every per-device Result
 // and Stats is identical to a standalone Decide call. The whole batch
 // runs against one window snapshot taken at entry: a concurrent Advance
-// never mixes two windows into one batch.
+// never mixes two windows into one batch. When several devices fail,
+// the error names the lowest one, as core's CharacterizeAll does.
 func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 	w := d.win.Load()
+	return d.decideRange(w, cfg, 0, len(w.abnormal))
+}
+
+// DecideRange is DecideAll over positions [from, to) of the window's
+// sorted abnormal set — one shard's slice of the fleet. Its decisions
+// are exactly that slice of DecideAll's. A range outside the window is
+// rejected with ErrConfig.
+func DecideRange(d *Directory, cfg core.Config, from, to int) ([]Decision, Stats, error) {
+	return d.decideRange(d.win.Load(), cfg, from, to)
+}
+
+func (d *Directory) decideRange(w *window, cfg core.Config, from, to int) ([]Decision, Stats, error) {
 	// Validate the configuration up front: the per-group characterizers
-	// only exist when there are devices to decide, and an empty window
+	// only exist when there are devices to decide, and an empty range
 	// must reject a bad config exactly like the centralized path does.
-	if _, err := core.New(w.pair, nil, cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	if err := d.checkRadius(cfg); err != nil {
 		return nil, Stats{}, err
 	}
+	if from < 0 || to < from || to > len(w.abnormal) {
+		return nil, Stats{}, fmt.Errorf("decide range [%d, %d) over %d abnormal devices: %w", from, to, len(w.abnormal), ErrConfig)
+	}
 	type group struct {
 		view      []int
-		positions []int32 // into the sorted abnormal set (= result slots)
+		positions []int32 // into the sorted abnormal set, ascending
 		stats     []Stats
 	}
 	groups := make(map[string]*group)
 	order := make([]*group, 0)
 	var scratch []int
 	var keyBuf []byte
-	for pos, j := range w.abnormal {
+	for pos := from; pos < to; pos++ {
 		var st Stats
-		scratch, st = d.viewInto(w, j, pos, scratch[:0])
+		scratch, st = d.viewInto(w, w.abnormal[pos], pos, scratch[:0])
 		// Views are sorted id sets, so the shared grid encoding is a
 		// collision-free group key; the map probe converts in place and
 		// the string only materializes for a new group.
@@ -104,16 +120,22 @@ func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 		g.stats = append(g.stats, st)
 	}
 
-	out := make([]Decision, len(w.abnormal))
-	var mu sync.Mutex
-	var firstErr error
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(order) {
-		workers = len(order)
+	out := make([]Decision, to-from)
+	// Every failing group reports its lowest failing position and the
+	// lowest one wins, so the error does not depend on scheduling.
+	var (
+		mu     sync.Mutex
+		errPos = to
+		err    error
+	)
+	fail := func(pos int, e error) {
+		mu.Lock()
+		if pos < errPos {
+			errPos, err = pos, e
+		}
+		mu.Unlock()
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(order)))
 	work := make(chan *group)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -121,27 +143,19 @@ func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 		go func() {
 			defer wg.Done()
 			for g := range work {
-				c, err := core.New(w.pair, g.view, cfg)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
+				c, cerr := core.New(w.pair, g.view, cfg)
+				if cerr != nil {
+					fail(int(g.positions[0]), cerr)
 					continue
 				}
 				for i, pos := range g.positions {
 					j := w.abnormal[pos]
-					res, err := c.Characterize(j)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("device %d: %w", j, err)
-						}
-						mu.Unlock()
+					res, cerr := c.Characterize(j)
+					if cerr != nil {
+						fail(int(pos), fmt.Errorf("device %d: %w", j, cerr))
 						break
 					}
-					out[pos] = Decision{Result: res, Stats: g.stats[i]}
+					out[int(pos)-from] = Decision{Result: res, Stats: g.stats[i]}
 				}
 			}
 		}()
@@ -151,8 +165,8 @@ func DecideAll(d *Directory, cfg core.Config) ([]Decision, Stats, error) {
 	}
 	close(work)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, Stats{}, firstErr
+	if err != nil {
+		return nil, Stats{}, err
 	}
 
 	// Positions follow sorted device ids, so out is already in device

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"hash/fnv"
+	"math"
 	"sort"
 	"testing"
 
@@ -205,6 +206,9 @@ func TestDirectoryErrors(t *testing.T) {
 	}
 	if _, err := NewDirectory(pair, []int{0}, -0.1); !errors.Is(err, ErrConfig) {
 		t.Errorf("negative radius: got %v, want ErrConfig", err)
+	}
+	if _, err := NewDirectory(pair, []int{0}, math.NaN()); !errors.Is(err, ErrConfig) {
+		t.Errorf("NaN radius: got %v, want ErrConfig", err)
 	}
 	if dir, err := NewDirectory(pair, []int{0, 1}, 0); err != nil {
 		t.Errorf("r = 0 must build a degenerate single-cell directory: %v", err)

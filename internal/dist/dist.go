@@ -26,8 +26,10 @@
 //
 // Decide is the per-device entry point and Stats its communication
 // bill; DecideAll batches a whole window, deduplicating identical views
-// so co-impacted devices share one characterizer. The cost study
-// consuming these numbers is experiments.DistCost.
+// so co-impacted devices share one characterizer, and DecideRange runs
+// the same batch over one contiguous slice of the window (a dirnet
+// shard's share). The cost study consuming these numbers is
+// experiments.DistCost.
 package dist
 
 import "errors"

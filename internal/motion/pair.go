@@ -33,7 +33,7 @@ var (
 
 // ValidateRadius checks r against the paper's r ∈ [0, 1/4) requirement.
 func ValidateRadius(r float64) error {
-	if r < 0 || r >= MaxRadius {
+	if !(r >= 0 && r < MaxRadius) { // NaN fails both comparisons
 		return fmt.Errorf("r = %v: %w", r, ErrRadius)
 	}
 	return nil

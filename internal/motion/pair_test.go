@@ -2,6 +2,7 @@ package motion
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"anomalia/internal/space"
@@ -15,7 +16,7 @@ func TestValidateRadius(t *testing.T) {
 			t.Errorf("ValidateRadius(%v) = %v, want nil", r, err)
 		}
 	}
-	for _, r := range []float64{-0.01, 0.25, 1} {
+	for _, r := range []float64{-0.01, 0.25, 1, math.NaN()} {
 		if err := ValidateRadius(r); !errors.Is(err, ErrRadius) {
 			t.Errorf("ValidateRadius(%v) = %v, want ErrRadius", r, err)
 		}

@@ -472,10 +472,8 @@ func (m *Monitor) characterizeWindow(pair *motion.Pair, abnormal []int) (*Outcom
 	if !m.cfg.distributed {
 		return characterizePair(pair, abnormal, m.cfg)
 	}
-	coreCfg, err := validateDistConfig(pair, m.cfg)
-	if err != nil {
-		return nil, err
-	}
+	// NewMonitor already validated r and τ.
+	coreCfg := m.cfg.coreConfig()
 	if m.dirClient != nil {
 		m.dirWindows.Add(1)
 		decisions, total, err := m.dirClient.DecideWindow(pair, abnormal, coreCfg)

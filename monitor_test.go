@@ -2,6 +2,7 @@ package anomalia
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -89,6 +90,9 @@ func TestMonitorValidation(t *testing.T) {
 	}
 	if _, err := NewMonitor(5, 1, WithRadius(0.5)); err == nil {
 		t.Error("invalid radius must error")
+	}
+	if _, err := NewMonitor(5, 1, WithRadius(math.NaN())); err == nil {
+		t.Error("NaN radius must error")
 	}
 	if _, err := NewMonitor(5, 1, WithTau(0)); !errors.Is(err, ErrInvalidInput) {
 		t.Error("invalid tau must error")
